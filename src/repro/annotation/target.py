@@ -25,6 +25,7 @@ from ..aop.registry import (
     annotate,
 )
 from ..memory.env import Env
+from ..obs.spans import global_tracer
 from ..runtime.task import current_task
 from ..runtime.tracing import global_trace
 
@@ -122,9 +123,10 @@ class TargetApplication:
         """
         if self.env is not None:
             self.env.mmat.reset()
-        for _ in range(self.MAX_WARMUP_PASSES):
-            if kernel(True):
-                return
+        with global_tracer().span("warm_up"):
+            for _ in range(self.MAX_WARMUP_PASSES):
+                if kernel(True):
+                    return
         raise RuntimeError(
             "warm-up did not converge: refresh kept failing, which means the "
             "communication advice never satisfied the kernel's remote accesses"

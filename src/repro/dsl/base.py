@@ -221,7 +221,8 @@ class BlockKernel:
                 cache_key = (block.block_id, "addresses", key, addresses.shape)
                 plan = mmat.plan_lookup(cache_key)
             if plan is None:
-                plan = compile_address_plan(env, block, addresses)
+                with global_tracer().span("plan.compile", sites=int(np.prod(sites_shape))):
+                    plan = compile_address_plan(env, block, addresses)
                 if key is not None:
                     mmat.plan_store(cache_key, plan)
                     self._trace.plan_compiles += 1

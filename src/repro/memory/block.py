@@ -168,17 +168,6 @@ class EmptyBlock(Block):
         # its children instead.
         return False
 
-    def covers(self, addr: Sequence[int]) -> bool:
-        """True when the address falls inside any descendant's extent.
-
-        Used by the Env search to decide whether descending into this
-        joint can possibly succeed (a cheap bounding-box union).
-        """
-        return any(
-            child.contains(addr) or (isinstance(child, EmptyBlock) and child.covers(addr))
-            for child in self.children
-        )
-
 
 class DataBlock(Block):
     """Entity Block with multi-buffered data.

@@ -322,125 +322,194 @@ class AccessPlan:
 # plan compilation
 # ----------------------------------------------------------------------
 
-def _classify(env, target, addr: Tuple[int, ...], depth: int = 0):
-    """Classify a resolved Block: a gatherable data source or a constant.
+def _classify(env, targets: list, addrs: list, depth: int = 0) -> list:
+    """Classify sites landing in boundary-kind Blocks: a gather or a constant.
 
+    ``targets[i]`` is the Block holding global address ``addrs[i]``.
     Reference blocks are followed through their (static) address mapping
     so mirror/Neumann boundaries compile down to gathers on the mapped
-    interior Block; Arithmetic and Static blocks are evaluated once at
-    compile time (their value is a pure function of the address —
+    interior Block; a mapped address outside the reference's own target
+    resolves through the block directory, counted as one Env search as
+    on the scalar path.  Arithmetic and Static blocks are evaluated once
+    at compile time (their value is a pure function of the address —
     Assumption II makes the result valid for every later iteration).
+    Returns one ``(data block, element index)`` or ``(None, value)`` per
+    site.
     """
-    if isinstance(target, DataBlock):
-        return ("data", target, target.element_index(addr))
-    if isinstance(target, ReferenceBlock):
-        if depth >= 4:
-            raise AddressError(
-                f"reference chain at {addr} too deep to compile into an access plan"
-            )
-        mapped = tuple(target.mapper(GlobalAddress(addr)))
-        if target.target is not None and target.target.contains(mapped):
+    out: list = [None] * len(targets)
+    chased = []  # (site, reference, next block or None, mapped address)
+    for i, (target, addr) in enumerate(zip(targets, addrs)):
+        if isinstance(target, DataBlock):
+            out[i] = (target, target.element_index(addr))
+        elif isinstance(target, ReferenceBlock):
+            if depth >= 4:
+                raise AddressError(
+                    f"reference chain at {addr} too deep to compile into an access plan"
+                )
+            mapped = tuple(target.mapper(GlobalAddress(addr)))
             nxt = target.target
+            if nxt is not None and not nxt.contains(mapped):
+                nxt = None
+            chased.append((i, target, nxt, mapped))
         else:
-            nxt = env.find_block(mapped, start=env.root)
-        if nxt is None:
+            out[i] = (None, np.asarray(target.read(addr), dtype=np.float64).reshape(-1))
+    if not chased:
+        return out
+    nexts = [entry[2] for entry in chased]
+    search = [k for k, nxt in enumerate(nexts) if nxt is None]
+    if search:
+        env.stats.searches += len(search)
+        try:
+            blocks, index = env.resolve_many([chased[k][3] for k in search])
+        except AddressError as err:
+            names = sorted({chased[k][1].name for k in search})
             raise AddressError(
-                f"reference block {target.name!r} cannot resolve mapped address {mapped}"
-            )
-        return _classify(env, nxt, mapped, depth + 1)
-    value = np.asarray(target.read(addr), dtype=np.float64).reshape(-1)
-    return ("const", None, value)
+                f"reference block(s) {', '.join(names)} map to an unresolvable address: {err}"
+            ) from None
+        for k, j in zip(search, index.tolist()):
+            nexts[k] = blocks[j]
+    resolved = _classify(env, nexts, [entry[3] for entry in chased], depth + 1)
+    for entry, result in zip(chased, resolved):
+        out[entry[0]] = result
+    return out
 
 
-def _resolve_site(env, start, addr: Tuple[int, ...]):
-    """Resolve one out-of-block site the way the scalar path would.
+class _Sources:
+    """The Blocks a plan under compilation reads, each at a fixed position."""
 
-    Consults (and populates) the MMAT memo so compile-time resolution
-    and scalar resolution share the same record, then classifies the
-    target for the plan.
+    def __init__(self, blocks) -> None:
+        self.blocks = list(blocks)
+        self._position = {b.block_id: j for j, b in enumerate(self.blocks)}
+
+    def position(self, block) -> int:
+        j = self._position.get(block.block_id)
+        if j is None:
+            j = self._position[block.block_id] = len(self.blocks)
+            self.blocks.append(block)
+        return j
+
+
+def _resolve_out_of_block(env, start: DataBlock, addrs: np.ndarray):
+    """Resolve ``start``'s out-of-block sites the way the scalar path would.
+
+    Each row of ``addrs`` is one scalar lookup.  Distinct addresses the
+    MMAT memo already holds keep their memorized Block; the rest resolve
+    through the Env's block directory — one Env search each, as on the
+    scalar path — and enter the memo in one bulk insert.  Returns
+    ``(sources, index)``: row ``i`` lies in ``sources.blocks[index[i]]``.
     """
     mmat = env.mmat
-    relative = tuple(a - o for a, o in zip(addr, start.origin))
-    target = mmat.lookup(start.block_id, relative)
-    if target is None:
-        if start.holds_data and start.contains(addr):
-            target = start
-        else:
-            target = env.find_block(addr, start=start)
-        if target is None:
-            raise AddressError(
-                f"no block of Env {env.name!r} contains address {tuple(addr)}"
-            )
-        mmat.remember(start.block_id, relative, target)
-    return _classify(env, target, addr)
+    uniq, inverse = np.unique(addrs, axis=0, return_inverse=True)
+    relatives = [
+        tuple(r) for r in (uniq - np.asarray(start.origin, dtype=np.int64)).tolist()
+    ]
+    known = mmat.lookup_many(start.block_id, relatives, lookups=addrs.shape[0])
+    miss = [u for u, target in enumerate(known) if target is None]
+    env.stats.searches += len(miss) if mmat.enabled else addrs.shape[0]
+    blocks, index = env.resolve_many(uniq[miss])
+    mmat.remember_many(
+        start.block_id, [relatives[u] for u in miss], [blocks[j] for j in index.tolist()]
+    )
+    sources = _Sources(blocks)
+    uniq_index = np.empty(uniq.shape[0], dtype=np.intp)
+    uniq_index[miss] = index
+    for u, target in enumerate(known):
+        if target is not None:
+            uniq_index[u] = sources.position(target)
+    return sources, uniq_index[inverse.reshape(-1)]
 
 
-class _PlanBuilder:
-    """Accumulates per-source gather lists while sites are resolved."""
+def _compile(env, block: DataBlock, addrs: np.ndarray, *, kind: str, inverse=None,
+             offsets=None) -> AccessPlan:
+    """Compile plan sites at global ``addrs`` into gather segments and constants.
 
-    def __init__(self, block: DataBlock) -> None:
-        self.block = block
-        self.sources: Dict[int, list] = {}
-        self.const_dst: List[int] = []
-        self.const_vals: List[np.ndarray] = []
-        self.in_block_sites = 0
-        self.resolved_sites = 0
-        self.out_of_block_sites = 0
+    Each row of ``addrs`` is one scalar lookup.  Without ``inverse`` row
+    ``s`` is plan site ``s``; with it the rows are distinct addresses
+    and site ``s`` reads ``addrs[inverse[s]]``.  Sites inside ``block``
+    gather from it directly, the rest resolve in bulk
+    (:func:`_resolve_out_of_block`); only sites landing in boundary-kind
+    Blocks, which hold user callables, are classified one by one.
+    """
+    origin = np.asarray(block.origin, dtype=np.int64)
+    inside = np.all((addrs >= origin) & (addrs < origin + block.shape), axis=1)
+    outside = np.flatnonzero(~inside)
+    sources, index = _resolve_out_of_block(env, block, addrs[outside])
+    blocks = sources.blocks
 
-    def add_bulk(self, source: DataBlock, src_idx, dst_idx) -> None:
-        entry = self.sources.setdefault(source.block_id, [source, [], []])
-        entry[1].append(np.asarray(src_idx, dtype=np.intp))
-        entry[2].append(np.asarray(dst_idx, dtype=np.intp))
+    # src[row]: position of the row's gather source (-1: a constant);
+    # elem[row]: element index into that source (or into ``values``).
+    src = np.empty(addrs.shape[0], dtype=np.intp)
+    elem = np.empty(addrs.shape[0], dtype=np.intp)
+    self_src = sources.position(block)
+    src[inside] = self_src
+    elem[inside] = np.ravel_multi_index(tuple((addrs[inside] - origin).T), block.shape)
 
-    def add_site(self, env, addr: Tuple[int, ...], dst: int) -> None:
-        kind, target, payload = _resolve_site(env, self.block, addr)
-        if kind == "const":
-            self.const_dst.append(dst)
-            self.const_vals.append(payload)
-        else:
-            self.add_bulk(target, [payload], [dst])
-            if target is self.block:
-                self.in_block_sites += 1
-            else:
-                self.out_of_block_sites += 1
-        self.resolved_sites += 1
+    is_data = np.array([isinstance(b, DataBlock) for b in blocks], dtype=bool)
+    to_data = is_data[index] if index.size else np.zeros(0, dtype=bool)
+    rows, targets = outside[to_data], index[to_data]
+    if rows.size:
+        # Row-major element index inside each row's own source Block.
+        local = addrs[rows] - np.array([b.origin for b in blocks], dtype=np.int64)[targets]
+        extent = np.array([b.shape for b in blocks], dtype=np.int64)[targets]
+        flat = local[:, 0]
+        for d in range(1, local.shape[1]):
+            flat = flat * extent[:, d] + local[:, d]
+        src[rows] = targets
+        elem[rows] = flat
 
-    def build(
-        self,
-        *,
-        n_sites: int,
-        kind: str = "offsets",
-        offsets: Optional[Tuple[Tuple[int, ...], ...]] = None,
-    ) -> AccessPlan:
-        block = self.block
-        segments = [
-            PlanSegment(source, np.concatenate(srcs), np.concatenate(dsts))
-            for source, srcs, dsts in self.sources.values()
-        ]
-        components = getattr(block, "components", 1)
-        dtype = block.buffer.read_buffer.dtype
-        if self.const_dst:
-            const_dst = np.asarray(self.const_dst, dtype=np.intp)
-            const_vals = np.vstack(
-                [np.broadcast_to(v, (components,)) for v in self.const_vals]
-            ).astype(dtype)
-        else:
-            const_dst = None
-            const_vals = None
-        return AccessPlan(
-            shape=block.shape,
-            n_sites=n_sites,
-            components=components,
-            dtype=dtype,
-            segments=segments,
-            const_dst=const_dst,
-            const_vals=const_vals,
-            in_block_sites=self.in_block_sites,
-            resolved_sites=self.resolved_sites,
-            out_of_block_sites=self.out_of_block_sites,
-            kind=kind,
-            offsets=offsets,
+    values: List[np.ndarray] = []
+    rows = outside[~to_data]
+    if rows.size:
+        classified = _classify(
+            env, [blocks[j] for j in index[~to_data].tolist()],
+            [tuple(a) for a in addrs[rows].tolist()],
         )
+        for row, (target, payload) in zip(rows.tolist(), classified):
+            if target is None:
+                src[row] = -1
+                elem[row] = len(values)
+                values.append(payload)
+            else:
+                src[row] = sources.position(target)
+                elem[row] = payload
+
+    if inverse is not None:
+        src = src[inverse]
+        elem = elem[inverse]
+    # One stable sort groups the sites by source; each run keeps its
+    # sites (the segment's dst_idx) in ascending order.
+    order = np.argsort(src, kind="stable")
+    cuts = np.flatnonzero(np.diff(src[order])) + 1
+    segments: List[PlanSegment] = []
+    const_dst = const_vals = None
+    components = getattr(block, "components", 1)
+    dtype = block.buffer.read_buffer.dtype
+    for run in np.split(order, cuts) if order.size else ():
+        j = src[run[0]]
+        if j < 0:
+            const_dst = run
+            table = np.vstack([np.broadcast_to(v, (components,)) for v in values])
+            const_vals = table.astype(dtype)[elem[run]]
+        else:
+            segments.append(PlanSegment(blocks[j], elem[run], run))
+    in_block = int(np.count_nonzero(src == self_src))
+    n_const = 0 if const_dst is None else const_dst.size
+    return AccessPlan(
+        shape=block.shape,
+        n_sites=src.size,
+        components=components,
+        dtype=dtype,
+        segments=segments,
+        const_dst=const_dst,
+        const_vals=const_vals,
+        in_block_sites=in_block,
+        # Indirect accesses carry no static "inside" hint, so the scalar
+        # path would resolve *every* site through the memo.
+        resolved_sites=src.size if inverse is not None else outside.size,
+        out_of_block_sites=src.size - in_block - n_const,
+        kind=kind,
+        offsets=offsets,
+    )
 
 
 def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...]]) -> AccessPlan:
@@ -453,34 +522,18 @@ def compile_offsets_plan(env, block: DataBlock, offsets: Sequence[Tuple[int, ...
     """
     shape = block.shape
     nd = len(shape)
-    n_elem = block.element_count
-    coords = np.indices(shape, dtype=np.int64).reshape(nd, n_elem)
-    shape_col = np.asarray(shape, dtype=np.int64)[:, None]
-    origin = block.origin
-    builder = _PlanBuilder(block)
-
-    for oi, off in enumerate(offsets):
+    for off in offsets:
         if len(off) != nd:
             raise AddressError(
                 f"offset {tuple(off)} does not match block dimensionality {nd}"
             )
-        shifted = coords + np.asarray(off, dtype=np.int64)[:, None]
-        inside = np.all((shifted >= 0) & (shifted < shape_col), axis=0)
-        base = oi * n_elem
-        in_idx = np.nonzero(inside)[0]
-        if in_idx.size:
-            src_flat = np.ravel_multi_index(
-                tuple(shifted[d, in_idx] for d in range(nd)), shape
-            )
-            builder.add_bulk(block, src_flat, base + in_idx)
-            builder.in_block_sites += int(in_idx.size)
-        for e in np.nonzero(~inside)[0]:
-            addr = tuple(int(origin[d] + shifted[d, e]) for d in range(nd))
-            builder.add_site(env, addr, base + int(e))
     norm_offsets = tuple(tuple(int(c) for c in off) for off in offsets)
-    return builder.build(
-        n_sites=len(offsets) * n_elem, kind="offsets", offsets=norm_offsets
+    coords = np.indices(shape, dtype=np.int64).reshape(nd, -1).T + np.asarray(
+        block.origin, dtype=np.int64
     )
+    off_arr = np.asarray(norm_offsets, dtype=np.int64).reshape(-1, 1, nd)
+    addrs = (coords[None, :, :] + off_arr).reshape(-1, nd)
+    return _compile(env, block, addrs, kind="offsets", offsets=norm_offsets)
 
 
 def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
@@ -490,8 +543,8 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
     is accepted (sites are taken in row-major order), for N-D blocks the
     last axis must hold the address coordinates.  Duplicate addresses
     are resolved once (``np.unique``) and fanned back out through the
-    inverse index, so compilation cost scales with the number of
-    *distinct* addresses, not sites.
+    inverse index; resolution itself is bulk array work, so compilation
+    cost scales with the number of *distinct* addresses, not sites.
     """
     nd = block.ndim
     addr_arr = np.asarray(addresses, dtype=np.int64)
@@ -504,34 +557,8 @@ def compile_address_plan(env, block: DataBlock, addresses) -> AccessPlan:
                 f"block dimensionality {nd}"
             )
         flat = addr_arr.reshape(-1, nd)
-    n_sites = flat.shape[0]
-    uniq, inv = np.unique(flat, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    builder = _PlanBuilder(block)
-
-    # Resolve each distinct address once, then gather all duplicate
-    # sites of that address with one index expression.
-    for u in range(uniq.shape[0]):
-        addr = tuple(int(c) for c in uniq[u])
-        dst = np.nonzero(inv == u)[0]
-        kind, target, payload = (
-            ("data", block, block.element_index(addr))
-            if block.contains(addr)
-            else _resolve_site(env, block, addr)
-        )
-        if kind == "const":
-            builder.const_dst.extend(int(d) for d in dst)
-            builder.const_vals.extend([payload] * dst.size)
-        else:
-            builder.add_bulk(target, np.full(dst.size, payload, dtype=np.intp), dst)
-            if target is block:
-                builder.in_block_sites += int(dst.size)
-            else:
-                builder.out_of_block_sites += int(dst.size)
-    # Indirect accesses carry no static "inside" hint, so the scalar
-    # path would resolve *every* site through the memo.
-    builder.resolved_sites = n_sites
-    return builder.build(n_sites=n_sites, kind="addresses")
+    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    return _compile(env, block, uniq, kind="addresses", inverse=inverse.reshape(-1))
 
 
 # ----------------------------------------------------------------------
@@ -599,6 +626,29 @@ class MMAT:
         """Memorize that accesses at this site resolve to ``block``."""
         if self.enabled:
             self._memo[(start_block_id, relative)] = block
+
+    def lookup_many(self, start_block_id: int, relatives: list, lookups: int) -> list:
+        """Bulk :meth:`lookup` of distinct ``relatives`` (None where unknown).
+
+        Accounts the ``lookups`` scalar lookups that would visit these
+        sites in order: each unknown relative misses once, every other
+        lookup hits (a scalar miss is remembered before the next visit).
+        """
+        if not self.enabled:
+            return [None] * len(relatives)
+        memo = self._memo
+        known = [memo.get((start_block_id, relative)) for relative in relatives]
+        misses = known.count(None)
+        self.misses += misses
+        self.hits += lookups - misses
+        return known
+
+    def remember_many(self, start_block_id: int, relatives: list, blocks: list) -> None:
+        """Bulk :meth:`remember`: ``relatives[i]`` resolves to ``blocks[i]``."""
+        if self.enabled:
+            self._memo.update(
+                zip([(start_block_id, relative) for relative in relatives], blocks)
+            )
 
     # ------------------------------------------------------------------
     # compiled plans

@@ -141,6 +141,8 @@ __all__ = ["ProcessBackend", "ProcessTransport", "ProcessWorld"]
 #: peer sent "exit" it will never contribute to red/bar/reg again, so a
 #: buffered exit while awaiting one of those is a definitive failure.
 _COLLECTIVE_KINDS = ("red", "bar", "reg", "exit")
+#: Page replies, sent by the receiver thread to a requesting peer.
+_REPLY_KINDS = ("prep", "brep", "perr")
 
 
 def _concat(lists: List[list]) -> list:
@@ -236,6 +238,9 @@ class ProcessTransport:
         # main thread computes — the key to overlapped halo exchange),
         # everything else lands in the per-peer inboxes above.
         self._recv_stop = False
+        # ``close()`` writes to this pipe so the receiver's wait returns
+        # at once instead of at its next poll timeout.
+        self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
         self._receiver = threading.Thread(
             target=self._receiver_main, name=f"proc-mpi-recv-{rank}", daemon=True
         )
@@ -250,7 +255,17 @@ class ProcessTransport:
             peer, msg = item
             try:
                 self.conns[peer].send(msg)
-            except Exception as exc:  # noqa: BLE001 - a failed send means the peer died;
+            except Exception as exc:  # noqa: BLE001 - the pipe to the peer is gone
+                if msg[0] in _REPLY_KINDS:
+                    # An undeliverable page reply only means its requester
+                    # has left: a finished rank closes with its last
+                    # overlapped prefetch unanswered.  Marking the peer
+                    # dead here would stop the receiver before it drains
+                    # the peer's final messages (its exit contribution);
+                    # a peer that really died fails waits through the
+                    # EOF the receiver reads after those messages.
+                    continue
+                # A failed request or collective send means the peer died;
                 # waits on that peer notice via _dead and fail fast.  The
                 # failure itself is recorded (counter + first description)
                 # so it surfaces in the error raised at collect time
@@ -280,12 +295,13 @@ class ProcessTransport:
     # -- receiving ------------------------------------------------------
     def _receiver_main(self) -> None:
         """Pump every connection until closed, serving page requests eagerly."""
+        wake = self._wake_r
         while not self._recv_stop:
             conns = [conn for peer, conn in self.conns.items() if peer not in self._dead]
-            if not conns:
-                time.sleep(0.01)
-                continue
+            conns.append(wake)
             for conn in connection_wait(conns, timeout=0.1):
+                if conn is wake:
+                    return
                 peer = self._peer_of[id(conn)]
                 try:
                     msg = conn.recv()
@@ -690,6 +706,8 @@ class ProcessTransport:
         self._sender.join(timeout=5.0)
         # Stop the receiver before closing the pipes out from under it.
         self._recv_stop = True
+        if not self._wake_w.closed:
+            self._wake_w.send_bytes(b"")
         self._receiver.join(timeout=5.0)
         # A transport thread still alive after its join timeout is stuck
         # in a blocking pipe operation; warn so CI hangs are diagnosable
@@ -703,7 +721,7 @@ class ProcessTransport:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for conn in self.conns.values():
+        for conn in (*self.conns.values(), self._wake_r, self._wake_w):
             try:
                 conn.close()
             except OSError:  # pragma: no cover - teardown best effort

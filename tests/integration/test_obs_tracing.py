@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.annotation import Platform
-from repro.apps import JacobiSGrid
+from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.obs import validate_chrome_trace
 
 CONFIG = dict(
@@ -134,3 +134,18 @@ class TestTraceExport:
         lines = report.splitlines()
         assert len(lines) == 4  # header + 3 rows
         assert "%wall" in lines[0]
+
+
+class TestWarmUpCompileSpans:
+    def test_usgrid_address_plan_compiles_are_spanned_under_warm_up(self):
+        config = dict(region=16, case="R", block_cells=64, page_elements=16, loops=2)
+        run = Platform.preset("serial", mmat=True, tracing=True).run(
+            JacobiUSGrid, config=config
+        )
+        compiles = [e for e in run.timeline()
+                    if e["ph"] == "X" and e["name"] == "plan.compile"]
+        # Per Data Block, warm-up compiles one offsets plan (its 64 cells)
+        # and one address plan (the 4 neighbour sites of each cell).
+        assert len(compiles) == run.mmat_stats["plan_compiles"] == 2 * (256 // 64)
+        assert all(e["path"] == "platform.run;warm_up;plan.compile" for e in compiles)
+        assert sorted(e["args"]["sites"] for e in compiles) == [64] * 4 + [4 * 64] * 4

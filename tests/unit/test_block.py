@@ -56,12 +56,9 @@ class TestBlockTree:
         with pytest.raises(BlockError):
             EmptyBlock((0, 0), (1,))
 
-    def test_empty_block_covers_descendants(self, allocator):
+    def test_empty_block_contains_nothing(self, allocator):
         joint = EmptyBlock()
         joint.add_child(make_data_block(allocator, origin=(0, 0)))
-        joint.add_child(make_data_block(allocator, origin=(4, 0)))
-        assert joint.covers((5, 1))
-        assert not joint.covers((100, 100))
         assert not joint.contains((1, 1))
 
 

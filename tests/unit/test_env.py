@@ -100,6 +100,60 @@ class TestEnvSearch:
         assert env.stats.search_steps >= 2
 
 
+class TestBlockDirectory:
+    def test_data_blocks_win_over_overlapping_boundary(self, env):
+        a = add_block(env, (0, 0))
+        b = add_block(env, (4, 0), buffer_only=True)
+        ring = ArithmeticBlock((-1, -1), (10, 6), lambda addr: 1.0)
+        env.add_boundary_block(ring)
+        blocks, index = env.resolve_many([(1, 1), (5, 3), (-1, 0), (8, 4)])
+        assert [blocks[j] for j in index] == [a, b, ring, ring]
+
+    def test_boundary_blocks_in_insertion_order(self, env):
+        add_block(env, (0, 0))
+        first = StaticDataBlock((4, 0), (2, 4), 1.0)
+        second = StaticDataBlock((4, 0), (4, 4), 2.0)
+        env.add_boundary_block(first)
+        env.add_boundary_block(second)
+        blocks, index = env.resolve_many([(5, 0), (7, 0)])
+        assert [blocks[j] for j in index] == [first, second]
+
+    def test_one_dimensional_addresses(self, env):
+        a = add_block(env, (0,), shape=(8,))
+        b = add_block(env, (8,), shape=(8,))
+        blocks, index = env.resolve_many(np.array([15, 0, 8, 7]))
+        assert [blocks[j] for j in index] == [b, a, b, a]
+
+    def test_unresolved_address_raises_scalar_message(self, env):
+        add_block(env, (0, 0))
+        with pytest.raises(AddressError, match=r"contains address \(9, -3\)"):
+            env.resolve_many([(1, 1), (9, -3)])
+
+    def test_no_search_counters(self, env):
+        add_block(env, (0, 0))
+        env.resolve_many([(1, 1)])
+        assert env.stats.searches == 0 and env.stats.search_steps == 0
+
+    @pytest.mark.parametrize("mutation", ["data", "boundary", "joint"])
+    def test_tree_mutation_invalidates_directory(self, env, mutation):
+        add_block(env, (0, 0))
+        with pytest.raises(AddressError):
+            env.resolve_many([(5, 1)])
+        if mutation == "data":
+            added = add_block(env, (4, 0))
+        elif mutation == "boundary":
+            added = env.add_boundary_block(StaticDataBlock((4, 0), (4, 4), 0.5))
+        else:
+            joint = env.add_joint(name="locality-joint")
+            added = DataBlock((4, 0), (4, 4), components=1, page_elements=4,
+                              allocator=env.allocator)
+            joint.add_child(added)  # attached behind the Env's back ...
+            env.add_joint(parent=joint)  # ... the next registration rebuilds
+        blocks, index = env.resolve_many([(5, 1)])
+        assert blocks[index[0]] is added
+        assert env.find_block((5, 1)) is added
+
+
 class TestEnvReadWrite:
     def test_read_inside_block(self, env):
         a = add_block(env, (0, 0))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ class TestTransportSatellites:
         assert "rank 0 could not send 'coll' to rank 1" in t0.first_send_error
         assert t0.stats.peer_dead >= 1
         assert 1 in t0._dead
+
+    def test_undeliverable_reply_is_not_a_dead_peer(self, transport_pair):
+        t0, t1 = transport_pair
+        # t1 finishes first: its exit contribution is on the wire, then it
+        # closes with t0's reply to its last prefetch still unsent.
+        t1._send(0, ("coll", "exit", 0, None))
+        t1.close()
+        t0._post_reply(1, ("brep", 7, b"", []))
+        msg = t0._await(1, lambda m: m[0] == "coll" and m[1] == "exit", "exit")
+        assert msg[1] == "exit"
+        t0.close()  # flushes the sender: the reply has failed by now
+        assert t0.stats.peer_dead == 0
+        assert t0.first_send_error is None
+
+    def test_close_returns_without_waiting_for_the_receiver_poll(self, transport_pair):
+        t0, _t1 = transport_pair
+        start = time.perf_counter()
+        t0.close()
+        assert time.perf_counter() - start < 0.05
+        assert not t0._receiver.is_alive()
 
     def test_close_warns_on_leaked_transport_thread(self, transport_pair, monkeypatch):
         t0, _t1 = transport_pair
