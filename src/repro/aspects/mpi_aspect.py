@@ -20,18 +20,22 @@ This module weaves the distributed-memory layer into an application:
   non-existent from their owners when it did not, and — via the
   **Dry-run** record — prefetch, after every successful refresh, the
   pages this rank is known to need so later steps do not fail at all.
-  When MMAT warm-up has compiled access plans, the steady-state halo is
-  statically known and the prefetch is compiled into a :class:`CommPlan`
-  executed as **one aggregated message pair per neighbor rank**
-  (:meth:`ExecutionWorld.fetch_pages_bulk`); without plans the original
-  per-page protocol runs unchanged.  In the default **overlapped** mode
-  (``overlap=True``) the planned exchange is issued *nonblocking*
+  Every page moves through one transport operation,
+  :meth:`ExecutionWorld.fetch_pages_bulk` (one request/reply message
+  pair per owning rank).  When MMAT warm-up has compiled access plans,
+  the steady-state halo is statically known and the prefetch is
+  compiled into a :class:`CommPlan` executed as **one aggregated
+  message pair per neighbor rank**; without plans — and for the repair
+  fetch of a failed step — each page is its own one-page manifest,
+  which keeps the paper's one-message-pair-per-page model.  The planned
+  exchange is always issued *nonblocking*
   (:meth:`ExecutionWorld.fetch_pages_bulk_async`) right after the step
-  barrier and parked on the Env as a :class:`PendingHalo`; the next
-  sweep computes its interior segment while the pages travel and
-  completes the exchange only when it first touches halo data — hiding
-  the communication round-trip behind computation, with numerically
-  identical results.
+  barrier as a :class:`PendingHalo`.  In the default **overlapped**
+  mode (``overlap=True``) it is parked on the Env; the next sweep
+  computes its interior segment while the pages travel and completes
+  the exchange only when it first touches halo data — hiding the
+  communication round-trip behind computation, with numerically
+  identical results.  With ``overlap=False`` it is completed at once.
 
 The module also registers every rank's Env and Blocks in the world's
 :class:`~repro.runtime.simmpi.BlockDirectory` (after ``Initialize``),
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
@@ -56,7 +61,7 @@ from ..memory.page import PageKey
 from ..obs.metrics import record as metric_record
 from ..obs.spans import global_tracer
 from ..runtime.backends import DEFAULT_BACKEND, get_backend
-from ..runtime.backends.base import CommHandle, ExecutionWorld
+from ..runtime.backends.base import BulkFetchResult, CommHandle, ExecutionWorld
 from ..runtime.errors import NetworkError, PageFetchError
 from ..runtime.shm import validate_page_transport
 from ..runtime.task import current_task
@@ -75,11 +80,12 @@ class CommPlan:
     with the Dry-run record).  A CommPlan freezes that set into a
     transport manifest — ``(local PageKey, logical block key, page
     index)`` per page — so every subsequent refresh can hand the whole
-    halo to :meth:`ExecutionWorld.fetch_pages_bulk` in one call and the
-    world moves **one aggregated message pair per neighbor rank**
-    instead of one pair per page.  The plan is a pure cache keyed by its
-    page set: when the requirement set changes (MMAT reset, new plans
-    compiled, dry-run growth) the aspect transparently recompiles it.
+    halo to :meth:`ExecutionWorld.fetch_pages_bulk_async` in one call
+    and the world moves **one aggregated message pair per neighbor
+    rank** instead of one pair per page.  The plan is a pure cache keyed
+    by its page set: when the requirement set changes (MMAT reset, new
+    plans compiled, dry-run growth) the aspect transparently recompiles
+    it.
     """
 
     #: The halo page set this plan covers (cache key).
@@ -97,31 +103,68 @@ class CommPlan:
         return self._index[(logical_key, page_index)]
 
 
+@contextmanager
+def _page_fetch_errors(what: str):
+    """Re-raise transport failures as :class:`PageFetchError` naming ``what``."""
+    try:
+        yield
+    except PageFetchError:
+        raise
+    except NetworkError as exc:
+        raise PageFetchError(f"{what}: {exc}") from exc
+
+
+def _install(env, plan: CommPlan, result: BulkFetchResult, trace, *, fallback: bool) -> None:
+    """Install an exchange's pages on the Env and account its traffic.
+
+    ``fallback`` marks the one-page exchanges of the per-page protocol
+    (no plan, or a failed step's repair); the others are comm-plan
+    exchanges.  Either way each exchange is one message pair.
+    """
+    env.page_install_many(
+        (plan.key_for(lk, page), data) for lk, page, data in result.pages
+    )
+    pages = len(result.pages)
+    trace.pages_fetched += pages
+    trace.bytes_fetched += result.nbytes
+    trace.messages += 2 * result.exchanges
+    if fallback:
+        trace.comm_plan_fallback_pages += pages
+    else:
+        trace.comm_plan_exchanges += result.exchanges
+        trace.comm_plan_pages += pages
+
+
 class PendingHalo:
-    """One rank's overlapped halo exchange, issued but not yet installed.
+    """One rank's planned halo exchange, issued but not yet installed.
 
     Created by the refresh advice right after the step barrier (the
     ``breq`` manifests are already on the wire / the background fetches
-    running) and attached to the rank's Env via
-    :meth:`~repro.memory.env.Env.set_pending_halo`.  The first reader
+    running).  In overlapped mode it is attached to the rank's Env via
+    :meth:`~repro.memory.env.Env.set_pending_halo`, and the first reader
     that needs halo data — the boundary phase of
     :meth:`~repro.dsl.base.BlockKernel.sweep_segment`, a boundary plan
     segment, a scalar Buffer-only access, or the next refresh — calls
     :meth:`complete`, which waits the :class:`CommHandle`, bulk-installs
     the pages through the CommPlan's manifest and accounts the traffic
     plus the ``overlap_*`` timing counters.  Everything between issue
-    and completion is computation the exchange latency hid behind.
+    and completion is computation the exchange latency hid behind.  In
+    blocking mode (``overlapped=False``) the advice completes it at
+    once and no ``overlap_*`` counter moves.
     """
 
-    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token")
+    __slots__ = ("plan", "handle", "trace", "issued_ns", "span_token", "overlapped")
 
-    def __init__(self, plan: CommPlan, handle: CommHandle, trace, span_token=None) -> None:
+    def __init__(
+        self, plan: CommPlan, handle: CommHandle, trace, span_token=None, *, overlapped=True
+    ) -> None:
         self.plan = plan
         self.handle = handle
         self.trace = trace
         self.issued_ns = time.perf_counter_ns()
         #: Async span token of the issue→complete flight (None untraced).
         self.span_token = span_token
+        self.overlapped = overlapped
 
     def complete(self, env, *, drained: bool = False) -> None:
         """Wait for the exchange, install its pages, account the traffic.
@@ -133,30 +176,25 @@ class PendingHalo:
         """
         trace = self.trace
         tracer = global_tracer()
+        mode = "overlapped halo exchange" if self.overlapped else "halo exchange"
         wait_start = time.perf_counter_ns()
+        failed = True
         try:
-            with tracer.span("halo.wait", drained=drained):
+            with tracer.span("halo.wait", drained=drained), _page_fetch_errors(
+                f"{mode} of {len(self.plan.requests)} pages failed"
+            ):
                 result = self.handle.wait()
-        except PageFetchError:
-            raise
-        except NetworkError as exc:
-            raise PageFetchError(
-                f"overlapped halo exchange of {len(self.plan.requests)} pages "
-                f"failed: {exc}"
-            ) from exc
+            failed = False
+        finally:
+            # A failed wait still closes the flight, keeping the trace's
+            # async begin/end events paired.
+            tracer.async_end(self.span_token, drained=drained, failed=failed)
         completed = time.perf_counter_ns()
-        tracer.async_end(self.span_token, drained=drained)
-        plan = self.plan
-        env.page_install_many(
-            (plan.key_for(lk, page), data) for lk, page, data in result.pages
-        )
-        trace.pages_fetched += len(result.pages)
-        trace.bytes_fetched += result.nbytes
-        trace.messages += 2 * result.exchanges
-        # The exchange is still a comm-plan exchange (aggregated per
-        # neighbor); the overlap_* counters add the async dimension.
-        trace.comm_plan_exchanges += result.exchanges
-        trace.comm_plan_pages += len(result.pages)
+        _install(env, self.plan, result, trace, fallback=False)
+        metric_record("exchange.pages", len(result.pages))
+        if not self.overlapped:
+            return
+        # The overlap_* counters add the async dimension.
         trace.overlap_exchanges += result.exchanges
         trace.overlap_pages += len(result.pages)
         if drained:
@@ -169,7 +207,6 @@ class PendingHalo:
             trace.overlap_flight_ns += completed - self.issued_ns
             metric_record("halo.wait_ns", completed - wait_start)
             metric_record("halo.flight_ns", completed - self.issued_ns)
-        metric_record("exchange.pages", len(result.pages))
 
 
 class DistributedMemoryAspect(LayerAspect):
@@ -212,14 +249,15 @@ class DistributedMemoryAspect(LayerAspect):
         )
         #: Whether to compile CommPlans (aggregated per-neighbor halo
         #: exchange) from warmed-up access plans; False keeps the
-        #: original one-message-pair-per-page protocol everywhere.
+        #: paper's one-message-pair-per-page protocol everywhere.
         self.comm_plans = bool(comm_plans)
         #: Whether the planned halo refresh runs *overlapped*: issued
         #: nonblocking right after the step barrier and completed only
         #: when the next sweep first touches halo data, hiding the
         #: communication latency behind the interior computation.
-        #: False keeps the blocking aggregated exchange; either way the
-        #: per-page protocol remains the fallback when no plans exist.
+        #: False completes the same exchange right at issue time; either
+        #: way the per-page protocol remains the fallback when no plans
+        #: exist.
         self.overlap = bool(overlap)
         self.world: ExecutionWorld | None = None
         #: Dry-run record: rank -> set of local PageKeys that had to be
@@ -378,7 +416,7 @@ class DistributedMemoryAspect(LayerAspect):
             with self._lock:
                 self._dry_run.setdefault(rank, set()).update(needed)
             with tracer.span("halo.repair", pages=len(needed)):
-                self._fetch_pages(env, rank, needed, trace)
+                self._fetch_per_page(env, rank, needed, trace)
             with tracer.span("step.barrier"):
                 world.barrier()
             trace.collectives += 1
@@ -395,8 +433,8 @@ class DistributedMemoryAspect(LayerAspect):
         # compiled access plan.  Once access plans exist the full halo is
         # statically known, so it moves through a compiled CommPlan — one
         # aggregated message pair per neighbor rank; without plans (MMAT
-        # off, plan invalidated, scalar kernels) the original per-page
-        # protocol is used transparently.
+        # off, plan invalidated, scalar kernels) the per-page protocol is
+        # used transparently.
         env.invalidate_buffer_only()
         with self._lock:
             prefetch = set(self._dry_run.get(rank, ()))
@@ -404,13 +442,16 @@ class DistributedMemoryAspect(LayerAspect):
         prefetch |= plan_pages
         if self.comm_plans and plan_pages:
             if self.overlap:
-                self._exchange_planned_async(env, rank, prefetch, trace)
+                env.set_pending_halo(self._exchange_planned_async(env, rank, prefetch, trace))
             else:
+                # Blocking mode: the same exchange, waited at issue time.
                 with tracer.span("halo.exchange", pages=len(prefetch)):
-                    self._exchange_planned(env, rank, prefetch, trace)
+                    self._exchange_planned_async(
+                        env, rank, prefetch, trace, overlapped=False
+                    ).complete(env)
         else:
             with tracer.span("halo.perpage", pages=len(prefetch)):
-                self._fetch_pages(env, rank, prefetch, trace)
+                self._fetch_per_page(env, rank, prefetch, trace)
         return result
 
     # ------------------------------------------------------------------
@@ -436,110 +477,75 @@ class DistributedMemoryAspect(LayerAspect):
         if plan is not None and plan.keys == frozen:
             return plan
         with global_tracer().span("plan.comm_compile", pages=len(keys)):
-            requests: List[Tuple[PageKey, Any, int]] = []
-            for key in sorted(keys):
-                block = env.block(key.block_id)
-                logical_key = getattr(block, "logical_key", None)
-                if logical_key is None:
-                    raise PageFetchError(
-                        f"rank {rank} cannot plan a fetch for page {key}: block "
-                        f"{block.name!r} has no logical key, so its owning rank "
-                        "is unresolvable"
-                    )
-                requests.append((key, logical_key, key.page_index))
-            plan = CommPlan(keys=frozen, requests=requests)
+            plan = CommPlan(keys=frozen, requests=self._manifest(env, rank, keys))
         with self._lock:
             self._comm_plans[rank] = plan
         trace.comm_plan_compiles += 1
         return plan
 
-    def _exchange_planned(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Refresh the halo through the compiled CommPlan (batched transport)."""
-        if not keys:
-            return
-        world = self.world
-        assert world is not None
-        plan = self._comm_plan_for(env, rank, keys, trace)
-        try:
-            result = world.fetch_pages_bulk(
-                rank, [(lk, page) for _, lk, page in plan.requests]
-            )
-        except PageFetchError:
-            raise
-        except NetworkError as exc:
-            raise PageFetchError(
-                f"rank {rank} failed the aggregated halo exchange of "
-                f"{len(plan.requests)} pages: {exc}"
-            ) from exc
-        env.page_install_many(
-            (plan.key_for(lk, page), data) for lk, page, data in result.pages
-        )
-        trace.pages_fetched += len(result.pages)
-        trace.bytes_fetched += result.nbytes
-        trace.messages += 2 * result.exchanges
-        trace.comm_plan_exchanges += result.exchanges
-        trace.comm_plan_pages += len(result.pages)
-
-    def _exchange_planned_async(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Issue the planned halo refresh nonblocking (overlapped mode).
-
-        The aggregated per-neighbor requests leave immediately
-        (:meth:`ExecutionWorld.fetch_pages_bulk_async`); the resulting
-        :class:`PendingHalo` is parked on the Env and completed by the
-        first halo reader of the next sweep — everything computed until
-        then overlaps the exchange.  Owner-resolution failures surface
-        here, at issue time, exactly as on the blocking path.
-        """
-        if not keys:
-            return
-        world = self.world
-        assert world is not None
-        plan = self._comm_plan_for(env, rank, keys, trace)
-        # The flight span opens at issue time and is closed by whichever
-        # reader completes the PendingHalo — Perfetto draws the b/e pair
-        # as an arrow across everything computed in between.
-        token = global_tracer().async_begin("halo.flight", pages=len(plan.requests))
-        try:
-            handle = world.fetch_pages_bulk_async(
-                rank, [(lk, page) for _, lk, page in plan.requests]
-            )
-        except PageFetchError:
-            raise
-        except NetworkError as exc:
-            raise PageFetchError(
-                f"rank {rank} failed to issue the overlapped halo exchange of "
-                f"{len(plan.requests)} pages: {exc}"
-            ) from exc
-        trace.overlap_issues += 1
-        env.set_pending_halo(PendingHalo(plan, handle, trace, span_token=token))
-
-    # ------------------------------------------------------------------
-    def _fetch_pages(self, env, rank: int, keys: Set[PageKey], trace) -> None:
-        """Pull each page in ``keys`` from its owning rank, one message pair each."""
-        world = self.world
-        assert world is not None
+    @staticmethod
+    def _manifest(env, rank: int, keys: Set[PageKey]) -> List[Tuple[PageKey, Any, int]]:
+        """``(local PageKey, logical block key, page index)`` per page, sorted."""
+        requests: List[Tuple[PageKey, Any, int]] = []
         for key in sorted(keys):
             block = env.block(key.block_id)
             logical_key = getattr(block, "logical_key", None)
             if logical_key is None:
                 raise PageFetchError(
-                    f"rank {rank} cannot fetch page {key}: block {block.name!r} "
-                    "has no logical key, so its owning rank is unresolvable"
+                    f"rank {rank} cannot plan a fetch for page {key}: block "
+                    f"{block.name!r} has no logical key, so its owning rank "
+                    "is unresolvable"
                 )
-            try:
-                data = world.fetch_page_by_logical(rank, logical_key, key.page_index)
-            except PageFetchError:
-                raise
-            except NetworkError as exc:
-                raise PageFetchError(
-                    f"rank {rank} failed to fetch page {key.page_index} of "
-                    f"block {logical_key!r}: {exc}"
-                ) from exc
-            env.page_install(key, data)
-            trace.pages_fetched += 1
-            trace.bytes_fetched += int(data.nbytes)
-            trace.messages += 2
-            trace.comm_plan_fallback_pages += 1
+            requests.append((key, logical_key, key.page_index))
+        return requests
+
+    def _exchange_planned_async(
+        self, env, rank: int, keys: Set[PageKey], trace, *, overlapped: bool = True
+    ) -> PendingHalo:
+        """Issue the planned halo refresh nonblocking; return its PendingHalo.
+
+        The aggregated per-neighbor requests leave immediately
+        (:meth:`ExecutionWorld.fetch_pages_bulk_async`); in overlapped
+        mode the caller parks the :class:`PendingHalo` on the Env, where
+        the first halo reader of the next sweep completes it —
+        everything computed until then overlaps the exchange.
+        Owner-resolution failures surface here, at issue time.
+        """
+        world = self.world
+        assert world is not None
+        plan = self._comm_plan_for(env, rank, keys, trace)
+        with _page_fetch_errors(
+            f"rank {rank} failed to issue the halo exchange of {len(plan.requests)} pages"
+        ):
+            handle = world.fetch_pages_bulk_async(
+                rank, [(lk, page) for _, lk, page in plan.requests]
+            )
+        token = None
+        if overlapped:
+            trace.overlap_issues += 1
+            # The flight span is closed by whichever reader completes the
+            # PendingHalo — Perfetto draws the b/e pair as an arrow across
+            # everything computed in between.
+            token = global_tracer().async_begin("halo.flight", pages=len(plan.requests))
+        return PendingHalo(plan, handle, trace, span_token=token, overlapped=overlapped)
+
+    def _fetch_per_page(self, env, rank: int, keys: Set[PageKey], trace) -> None:
+        """Pull each page in ``keys`` from its owner as a one-page bulk exchange.
+
+        The per-page protocol of the paper's prototype (one message pair
+        per page), used when no CommPlan applies and for the repair
+        fetch of a failed step.
+        """
+        world = self.world
+        assert world is not None
+        for request in self._manifest(env, rank, keys):
+            key, logical_key, page_index = request
+            with _page_fetch_errors(
+                f"rank {rank} failed to fetch page {page_index} of block {logical_key!r}"
+            ):
+                result = world.fetch_pages_bulk(rank, [(logical_key, page_index)])
+            plan = CommPlan(keys=frozenset((key,)), requests=[request])
+            _install(env, plan, result, trace, fallback=True)
 
     # ------------------------------------------------------------------
     def on_detach(self, platform) -> None:

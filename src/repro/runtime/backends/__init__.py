@@ -8,9 +8,15 @@ backends can be registered without touching platform code)::
 
     world = get_backend("process").create_world(4)
 
+    class MyWorld(ExecutionWorld):
+        # ... SPMD launch, collectives, block registration, and the one
+        # page-transport method: one message pair per owning rank.
+        def fetch_pages_bulk(self, requester, requests): ...
+
     class MyBackend(ExecutionBackend):
         name = "asyncio"
-        def create_world(self, size, *, timeout=60.0): ...
+        def create_world(self, size, *, timeout=60.0, page_transport="auto"):
+            return MyWorld(size)
     register_backend(MyBackend())
 
 The three built-in backends:

@@ -13,8 +13,12 @@ aspect module needs:
 * **block registration** — a cross-rank directory mapping logical block
   keys to owning ranks (:meth:`ExecutionWorld.register_block` +
   :meth:`ExecutionWorld.commit_registration`);
-* **page transport** — :meth:`ExecutionWorld.fetch_page_by_logical`
-  moves page snapshots from the owning rank to the requester.
+* **page transport** — :meth:`ExecutionWorld.fetch_pages_bulk` moves a
+  manifest of page snapshots from their owning ranks to the requester,
+  one request/reply message pair per owner.  It is the one transport
+  operation a backend must implement: the paper's per-page protocol is
+  a one-page manifest, and the nonblocking
+  :meth:`ExecutionWorld.fetch_pages_bulk_async` defaults to it.
 
 Implementations shipped with the platform: ``serial`` (inline, world of
 one), ``threads`` (one OS thread per rank — the original simulated
@@ -41,6 +45,7 @@ __all__ = [
     "SpmdFailure",
     "group_requests_by_owner",
     "raise_spmd_failures",
+    "serve_bulk_locally",
 ]
 
 
@@ -100,9 +105,8 @@ class BulkFetchResult:
 
     ``pages`` holds ``(logical_key, page_index, data)`` triples in
     request order per owner; ``exchanges`` is the number of aggregated
-    request/reply pairs the batch cost (one per distinct owning rank on
-    batching backends, one per page on the per-page fallback) and
-    ``nbytes`` the page payload volume moved.
+    request/reply pairs the batch cost (one per distinct owning rank)
+    and ``nbytes`` the page payload volume moved.
     """
 
     pages: List[Tuple[Any, int, Any]] = field(default_factory=list)
@@ -132,6 +136,41 @@ def group_requests_by_owner(
         owner, block_id = resolved
         grouped.setdefault(owner, []).append((logical_key, page_index, block_id))
     return grouped
+
+
+def serve_bulk_locally(
+    world: "ExecutionWorld", requester: int, requests: Sequence[Tuple[Any, int]]
+) -> BulkFetchResult:
+    """Serve a bulk fetch out of Envs living in this process.
+
+    Used by worlds whose page owners are all local (the ``serial``
+    world, a single-rank ``process`` world); ``world`` provides
+    ``directory``, ``env_of`` and ``stats``.  Every owner still costs
+    one accounted request/reply pair in ``world.stats``, so the traffic
+    counters have the same shape as on a real exchange.
+    """
+    from ...memory.page import PageKey  # local import to avoid a cycle
+
+    stats = world.stats
+    result = BulkFetchResult()
+    for owner, items in sorted(group_requests_by_owner(world.directory, requests).items()):
+        env = world.env_of(owner)
+        datas = [env.page_snapshot(PageKey(block_id, page)) for _, page, block_id in items]
+        payload_bytes = sum(int(d.nbytes) for d in datas)
+        manifest_bytes = 32 + 16 * len(items)
+        stats.page_fetches += len(items)
+        stats.bulk_fetches += 1
+        stats.bulk_pages += len(items)
+        stats.messages += 2
+        stats.bytes_moved += payload_bytes + manifest_bytes
+        stats.record_neighbor(requester, owner, 1, manifest_bytes)
+        stats.record_neighbor(owner, requester, 1, payload_bytes)
+        result.pages.extend(
+            (logical_key, page, data) for (logical_key, page, _), data in zip(items, datas)
+        )
+        result.exchanges += 1
+        result.nbytes += payload_bytes
+    return result
 
 
 class CommHandle(abc.ABC):
@@ -302,29 +341,18 @@ class ExecutionWorld(abc.ABC):
 
     # -- page transport -------------------------------------------------
     @abc.abstractmethod
-    def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
-        """Fetch a page of the Block identified by ``logical_key`` from its owner."""
-
     def fetch_pages_bulk(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> BulkFetchResult:
         """Fetch many pages at once, aggregated per owning rank.
 
         ``requests`` is a sequence of ``(logical_key, page_index)``
-        pairs.  Batching backends move **one request/reply message pair
-        per distinct owning rank** (a page-key manifest out, a packed
-        payload back) instead of one pair per page; this default
-        implementation is the behavioural fallback for custom backends
-        and simply loops over :meth:`fetch_page_by_logical`, costing one
-        exchange per page.
+        pairs.  Every owner costs **one request/reply message pair** (a
+        page-key manifest out, the pages back), so a one-page manifest
+        is the per-page protocol of the paper's prototype.  Raises
+        :class:`~repro.runtime.errors.NetworkError` when a key has no
+        registered owner or the owner cannot serve.
         """
-        result = BulkFetchResult()
-        for logical_key, page_index in requests:
-            data = self.fetch_page_by_logical(requester, logical_key, page_index)
-            result.pages.append((logical_key, page_index, data))
-            result.exchanges += 1
-            result.nbytes += int(data.nbytes)
-        return result
 
     def fetch_pages_bulk_async(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
@@ -338,8 +366,7 @@ class ExecutionWorld(abc.ABC):
         :meth:`fetch_pages_bulk`).  This default implementation — used
         by the ``serial`` backend and any custom backend that does not
         override it — performs the exchange synchronously and returns an
-        immediate-completion handle, which is behaviourally identical to
-        the blocking path.
+        immediate-completion handle.
         """
         return CompletedCommHandle(self.fetch_pages_bulk(requester, requests))
 

@@ -21,8 +21,8 @@ from .base import (
     ExecutionBackend,
     ExecutionWorld,
     RankResult,
-    group_requests_by_owner,
     raise_spmd_failures,
+    serve_bulk_locally,
 )
 
 __all__ = ["SerialBackend", "SerialWorld"]
@@ -92,46 +92,12 @@ class SerialWorld(ExecutionWorld):
         return op([value])
 
     # -- page transport -------------------------------------------------
-    def fetch_page_by_logical(self, requester: int, logical_key: Any, page_index: int):
-        self._check_rank(requester)
-        owner = self.directory.owner_of(logical_key)
-        block_id = self.directory.block_id_on(logical_key, owner)
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        data = self.env_of(owner).page_snapshot(PageKey(block_id, page_index))
-        self.stats.page_fetches += 1
-        self.stats.messages += 2
-        self.stats.bytes_moved += int(data.nbytes) + 32
-        self.stats.record_neighbor(requester, owner, 1, 32)
-        self.stats.record_neighbor(owner, requester, 1, int(data.nbytes))
-        return data
-
     def fetch_pages_bulk(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> BulkFetchResult:
         """Batched fetch: one accounted exchange per owner (always rank 0 here)."""
         self._check_rank(requester)
-        from ...memory.page import PageKey  # local import to avoid a cycle
-
-        result = BulkFetchResult()
-        for owner, items in sorted(group_requests_by_owner(self.directory, requests).items()):
-            env = self.env_of(owner)
-            payload_bytes = 0
-            for logical_key, page_index, block_id in items:
-                data = env.page_snapshot(PageKey(block_id, page_index))
-                result.pages.append((logical_key, page_index, data))
-                payload_bytes += int(data.nbytes)
-            manifest_bytes = 32 + 16 * len(items)
-            self.stats.page_fetches += len(items)
-            self.stats.bulk_fetches += 1
-            self.stats.bulk_pages += len(items)
-            self.stats.messages += 2
-            self.stats.bytes_moved += payload_bytes + manifest_bytes
-            self.stats.record_neighbor(requester, owner, 1, manifest_bytes)
-            self.stats.record_neighbor(owner, requester, 1, payload_bytes)
-            result.exchanges += 1
-            result.nbytes += payload_bytes
-        return result
+        return serve_bulk_locally(self, requester, requests)
 
     # -- accounting -----------------------------------------------------
     def traffic_summary(self) -> dict:

@@ -12,12 +12,13 @@ network
   wall-clock) are what the cost model converts into the modelled
   communication time of the scaling figures.
 
-Page transfers use a one-sided ``fetch_page`` operation: the requester
-reads a page snapshot directly out of the owner rank's Env (safe,
-because owners never mutate their *read* buffers between the
-synchronisation points established by the refresh protocol) while the
-network records the traffic as a message pair.  This mirrors MPI RMA
-``Get`` and keeps the threaded simulation deadlock-free.
+Page transfers use a one-sided ``fetch_pages`` operation: the
+requester reads a manifest of page snapshots directly out of the owner
+rank's Env (safe, because owners never mutate their *read* buffers
+between the synchronisation points established by the refresh
+protocol) while the network records the traffic as one message pair.
+This mirrors MPI RMA ``Get`` and keeps the threaded simulation
+deadlock-free.
 """
 
 from __future__ import annotations
@@ -295,31 +296,6 @@ class SimNetwork:
     # ------------------------------------------------------------------
     # one-sided page access
     # ------------------------------------------------------------------
-    def fetch_page(self, requester: int, owner: int, block_id: int, page_index: int) -> np.ndarray:
-        """Fetch a page snapshot from ``owner``'s registered Env.
-
-        The traffic is accounted as one request message plus one reply
-        carrying the page payload, matching what a two-sided exchange
-        would cost on a real network.
-        """
-        self._check_rank(requester)
-        self._check_rank(owner)
-        with self._lock:
-            if owner in self._dead:
-                raise DeadRankError(owner, f"page fetch by rank {requester}")
-        self._apply_reply_fault(owner, requester)
-        endpoint = self.endpoint(owner)
-        from ..memory.page import PageKey  # local import to avoid a cycle
-
-        data = endpoint.page_snapshot(PageKey(block_id, page_index))
-        with self._lock:
-            self.stats.page_fetches += 1
-            self.stats.messages += 2
-            self.stats.bytes_moved += int(data.nbytes) + 32
-            self.stats.record_neighbor(requester, owner, 1, 32)
-            self.stats.record_neighbor(owner, requester, 1, int(data.nbytes))
-        return data
-
     def fetch_pages(
         self, requester: int, owner: int, pages: List[Tuple[int, int]]
     ) -> List[np.ndarray]:

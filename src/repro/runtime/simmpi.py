@@ -26,8 +26,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .backends.base import (
     BulkFetchResult,
     CommHandle,
@@ -167,14 +165,6 @@ class MPIWorld(ExecutionWorld):
         return self.network.allreduce(value, op)
 
     # ------------------------------------------------------------------
-    def fetch_page_by_logical(
-        self, requester: int, logical_key: Any, page_index: int
-    ) -> np.ndarray:
-        """Fetch a page of the Block identified by ``logical_key`` from its owner."""
-        owner = self.directory.owner_of(logical_key)
-        owner_block_id = self.directory.block_id_on(logical_key, owner)
-        return self.network.fetch_page(requester, owner, owner_block_id, page_index)
-
     def fetch_pages_bulk(
         self, requester: int, requests: Sequence[Tuple[Any, int]]
     ) -> BulkFetchResult:

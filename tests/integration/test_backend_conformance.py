@@ -137,16 +137,20 @@ class TestPageFetch:
             world.register_block(("blk", rank), rank, 7 + rank, owner=True)
             world.commit_registration()
             owner = (rank + 1) % size
-            data = world.fetch_page_by_logical(rank, ("blk", owner), 3)
+            result = world.fetch_pages_bulk(rank, [(("blk", owner), 3)])
             world.barrier()  # keep every rank serving until all fetched
-            return list(data)
+            ((_, _, data),) = result.pages
+            return (result.exchanges, list(data))
 
         results = world.run_spmd(body)
         for rank, result in enumerate(results):
             owner = (rank + 1) % size
+            exchanges, data = result.value
+            assert exchanges == 1  # one page, one message pair
             expected = np.arange(4) + 1000.0 * owner + 10.0 * (7 + owner) + 3
-            np.testing.assert_allclose(result.value, expected)
-        assert world.traffic_summary()["page_fetches"] == size
+            np.testing.assert_allclose(data, expected)
+        stats = world.traffic_summary()
+        assert stats["page_fetches"] == stats["bulk_fetches"] == size
 
     @pytest.mark.parametrize("backend,size", CASES)
     def test_directory_is_globally_consistent_after_commit(self, backend, size):

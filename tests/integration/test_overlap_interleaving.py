@@ -1,7 +1,7 @@
 """Seeded interleaving stress for the process backend's overlapped exchange.
 
 The pipe-mesh transport promises that reply *ordering* never matters:
-every ``brep``/``prep`` is matched to its request id, every blocking
+every ``brep`` is matched to its request id, every blocking
 wait only consumes buffered messages (the receiver thread does all the
 pumping), and an overlapped exchange completed late must still observe
 the owner's data from the step it was issued in — never a later step's.

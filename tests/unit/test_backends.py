@@ -133,6 +133,11 @@ class TestThreadsWorldInterface:
     def test_mpiworld_implements_execution_world(self):
         assert issubclass(MPIWorld, ExecutionWorld)
 
+    def test_fetch_pages_bulk_is_the_one_transport_method(self):
+        """A world must implement the bulk fetch; there is no per-page default."""
+        assert "fetch_pages_bulk" in ExecutionWorld.__abstractmethods__
+        assert not hasattr(ExecutionWorld, "fetch_page_by_logical")
+
     def test_world_level_collectives_delegate_to_network(self):
         world = MPIWorld(1)
         assert world.allreduce_and(True) is True

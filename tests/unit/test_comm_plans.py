@@ -15,7 +15,7 @@ from repro.aspects import CommPlan, DistributedMemoryAspect
 from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.page import PageKey
 from repro.runtime import NetworkStats, PageFetchError, get_backend
-from repro.runtime.backends.base import ExecutionWorld, group_requests_by_owner
+from repro.runtime.backends.base import group_requests_by_owner
 from repro.runtime.simmpi import BlockDirectory
 from repro.runtime.tracing import TaskCounters
 
@@ -35,8 +35,8 @@ class _StubEnv:
     def block(self, block_id):
         return self._block
 
-    def page_install(self, key, data):
-        self.installed.append((key, data))
+    def page_install_many(self, items):
+        self.installed.extend(items)
 
 
 def _aspect_with_world(size=1):
@@ -46,19 +46,19 @@ def _aspect_with_world(size=1):
 
 
 class TestPageFetchError:
-    def test_fetch_pages_raises_on_missing_logical_key(self):
+    def test_fetch_per_page_raises_on_missing_logical_key(self):
         """A page whose owner cannot be resolved must fail loudly, not skip."""
         aspect = _aspect_with_world()
         env = _StubEnv(_KeylessBlock())
         with pytest.raises(PageFetchError) as excinfo:
-            aspect._fetch_pages(env, 0, {PageKey(7, 3)}, TaskCounters())
+            aspect._fetch_per_page(env, 0, {PageKey(7, 3)}, TaskCounters())
         message = str(excinfo.value)
         assert "rank 0" in message
         assert "PageKey(block=7, page=3)" in message
         assert "orphan" in message
         assert env.installed == []  # nothing was partially installed
 
-    def test_fetch_pages_wraps_unregistered_owner(self):
+    def test_fetch_per_page_wraps_unregistered_owner(self):
         """An owner missing from the directory surfaces as PageFetchError."""
 
         class _Keyed(_KeylessBlock):
@@ -66,7 +66,7 @@ class TestPageFetchError:
 
         aspect = _aspect_with_world()
         with pytest.raises(PageFetchError, match=r"ghost"):
-            aspect._fetch_pages(_StubEnv(_Keyed()), 0, {PageKey(7, 0)}, TaskCounters())
+            aspect._fetch_per_page(_StubEnv(_Keyed()), 0, {PageKey(7, 0)}, TaskCounters())
 
     def test_comm_plan_compile_raises_on_missing_logical_key(self):
         aspect = _aspect_with_world()
@@ -161,23 +161,6 @@ class TestGroupRequestsByOwner:
 
         with pytest.raises(NetworkError, match="no owner registered"):
             group_requests_by_owner(self._directory(), [(("nope",), 0)])
-
-
-class TestDefaultBulkFetch:
-    def test_base_class_fallback_loops_per_page(self):
-        """Custom backends inherit a per-page bulk fetch (one exchange/page)."""
-        world = get_backend("serial").create_world(1)
-
-        class _Endpoint:
-            def page_snapshot(self, key):
-                return np.full(4, float(key.page_index))
-
-        world.register_env(0, _Endpoint())
-        world.register_block(("blk",), 0, 5, owner=True)
-        result = ExecutionWorld.fetch_pages_bulk(world, 0, [(("blk",), 0), (("blk",), 3)])
-        assert result.exchanges == 2  # no aggregation in the default impl
-        assert [page for _, page, _ in result.pages] == [0, 3]
-        np.testing.assert_allclose(result.pages[1][2], np.full(4, 3.0))
 
 
 class TestPageInstallMany:

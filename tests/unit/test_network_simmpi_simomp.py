@@ -112,19 +112,25 @@ class TestPageFetch:
         env.refresh()
         return env, block
 
-    def test_fetch_page_reads_remote_env(self):
+    def test_fetch_pages_reads_remote_env(self):
         net = SimNetwork(2)
         env, block = self.make_env_with_block(3.0)
         net.register_endpoint(1, env)
-        data = net.fetch_page(0, 1, block.block_id, 0)
+        (data,) = net.fetch_pages(0, 1, [(block.block_id, 0)])
         assert data[0, 0] == 3.0
         assert net.stats.page_fetches == 1
         assert net.stats.messages == 2
+        # One request (header + one 16-byte manifest entry) plus the page.
+        assert net.stats.bytes_moved == int(data.nbytes) + 32 + 16
+        assert net.stats.per_neighbor == {
+            "0->1": {"messages": 1, "bytes": 48},
+            "1->0": {"messages": 1, "bytes": int(data.nbytes)},
+        }
 
     def test_fetch_without_endpoint_raises(self):
         net = SimNetwork(2)
         with pytest.raises(NetworkError):
-            net.fetch_page(0, 1, 1, 0)
+            net.fetch_pages(0, 1, [(1, 0)])
 
 
 class TestBlockDirectory:
@@ -189,7 +195,9 @@ class TestMPIWorld:
         env.refresh()
         world.register_env(1, env)
         world.directory.register(("b", 0), rank=1, block_id=block.block_id, owner=True)
-        data = world.fetch_page_by_logical(0, ("b", 0), 0)
+        result = world.fetch_pages_bulk(0, [(("b", 0), 0)])
+        ((logical_key, page_index, data),) = result.pages
+        assert (logical_key, page_index, result.exchanges) == (("b", 0), 0, 1)
         assert data[0, 0] == 4.5
 
     def test_env_of_unknown_rank(self):

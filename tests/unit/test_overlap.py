@@ -18,6 +18,8 @@ from repro.memory import DataBlock, Env, MemoryPool, PoolGroup
 from repro.memory.block import BufferOnlyBlock
 from repro.memory.mmat import compile_offsets_plan
 from repro.memory.page import PageKey
+from repro.obs.export import chrome_trace_document, validate_chrome_trace
+from repro.obs.spans import global_tracer
 from repro.runtime import (
     BulkFetchResult,
     CommHandle,
@@ -184,7 +186,7 @@ class TestAccessPlanSplit:
 # ----------------------------------------------------------------------
 
 
-def _pending(trace, *, pages=None, fail=False) -> PendingHalo:
+def _pending(trace, *, pages=None, fail=False, overlapped=True) -> PendingHalo:
     key = PageKey(7, 0)
     plan = CommPlan(keys=frozenset({key}), requests=[(key, ("blk", 1), 0)])
     if fail:
@@ -196,7 +198,7 @@ def _pending(trace, *, pages=None, fail=False) -> PendingHalo:
             nbytes=32,
         )
         handle = CompletedCommHandle(result)
-    return PendingHalo(plan, handle, trace)
+    return PendingHalo(plan, handle, trace, overlapped=overlapped)
 
 
 class _InstallEnv:
@@ -207,6 +209,18 @@ class _InstallEnv:
 
     def page_install_many(self, items):
         self.installed.extend(items)
+
+
+@pytest.fixture
+def traced():
+    """The process-wide tracer, enabled and empty for one test."""
+    tracer = global_tracer()
+    was_enabled = tracer.enabled
+    tracer.reset()
+    tracer.set_enabled(True)
+    yield tracer
+    tracer.set_enabled(was_enabled)
+    tracer.reset()
 
 
 class TestPendingHalo:
@@ -236,6 +250,33 @@ class TestPendingHalo:
         with pytest.raises(PageFetchError, match="overlapped halo exchange"):
             _pending(trace, fail=True).complete(_InstallEnv())
         assert trace.overlap_exchanges == 0  # nothing accounted on failure
+
+    def test_failed_wait_closes_the_flight_span(self, traced):
+        """A failed exchange must not leave an unpaired async begin."""
+        key = PageKey(7, 0)
+        plan = CommPlan(keys=frozenset({key}), requests=[(key, ("blk", 1), 0)])
+        token = traced.async_begin("halo.flight", pages=1)
+        pending = PendingHalo(plan, _CountingHandle(fail=True), TaskCounters(), token)
+        with pytest.raises(PageFetchError):
+            pending.complete(_InstallEnv())
+        events = traced.snapshot()
+        assert validate_chrome_trace(chrome_trace_document(events)) == []
+        (end,) = [e for e in events if e["ph"] == "e"]
+        assert end["args"]["failed"] is True
+
+    def test_blocking_completion_moves_no_overlap_counter(self):
+        trace = TaskCounters()
+        env = _InstallEnv()
+        _pending(trace, overlapped=False).complete(env)
+        assert [key for key, _ in env.installed] == [PageKey(7, 0)]
+        assert (trace.pages_fetched, trace.messages) == (1, 2)
+        assert (trace.comm_plan_exchanges, trace.comm_plan_pages) == (1, 1)
+        assert trace.overlap_exchanges == trace.overlap_pages == trace.overlap_drained == 0
+        assert trace.overlap_wait_ns == trace.overlap_flight_ns == 0
+
+    def test_blocking_failure_names_the_exchange(self):
+        with pytest.raises(PageFetchError, match="^halo exchange of 1 pages failed"):
+            _pending(TaskCounters(), fail=True, overlapped=False).complete(_InstallEnv())
 
     def test_env_slot_completes_once_and_clears(self):
         env, _local, halo = _two_block_env()
