@@ -22,8 +22,7 @@ The fused comparison measures the *marginal per-step* cost — best
 wall-clock at two loop counts, divided by the loop delta — because the
 whole-run elapsed is dominated by the one-time warm-up plan compilation
 that both paths share.  Bit-identity between the fused and vectorized
-results is asserted, and an informational ``temporal_block=2`` row shows
-the temporal-blocking lookahead on the same workload.
+results is asserted.
 
 Usage::
 
@@ -127,7 +126,7 @@ def measure_fused(work: Workload, *, lo: int, hi: int, repeats: int = 1) -> list
     a = np.asarray(vec_run.result, dtype=np.float64)
     b = np.asarray(fused_run.result, dtype=np.float64)
     identical = a.shape == b.shape and bool(np.array_equal(a, b, equal_nan=True))
-    rows = [
+    return [
         {
             "workload": work.name,
             "vectorized_step_s": vec_step,
@@ -140,26 +139,6 @@ def measure_fused(work: Workload, *, lo: int, hi: int, repeats: int = 1) -> list
             ),
         }
     ]
-    # Informational: the same workload with a 2-deep temporal-blocking
-    # lookahead (interior advanced 2 steps per gather).  Not gated — the
-    # win depends on the halo/interior ratio of the block size.
-    tb_step, tb_run = per_step(kernel="vectorized", temporal_block=2)
-    c = np.asarray(tb_run.result, dtype=np.float64)
-    rows.append(
-        {
-            "workload": f"{work.name} tb2",
-            "vectorized_step_s": vec_step,
-            "fused_step_s": tb_step,
-            "fused_speedup": vec_step / tb_step if tb_step else float("nan"),
-            "bit_identical": a.shape == c.shape
-            and bool(np.array_equal(a, c, equal_nan=True)),
-            "fused_kernels": tb_run.mmat_stats.get("fused_kernels", 0),
-            "fused_calls": sum(
-                c_.kernel_fused_calls for c_ in tb_run.counters.values()
-            ),
-        }
-    )
-    return rows
 
 
 def measure_read_from(*, reads: int = 20000) -> dict:

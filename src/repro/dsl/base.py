@@ -98,8 +98,6 @@ class BlockKernel:
         "_trace",
         "_work",
         "_fuse",
-        "_temporal",
-        "_codegen",
         "_warmup",
     )
 
@@ -110,8 +108,6 @@ class BlockKernel:
         *,
         work_per_set: int = 1,
         fuse: bool = True,
-        temporal_block: int = 1,
-        codegen: Optional[str] = None,
         warmup: bool = False,
     ) -> None:
         self.env = env
@@ -121,11 +117,8 @@ class BlockKernel:
         self._work = max(int(work_per_set), 1)
         #: Whether sweeps may run through fused kernels (plan + fn
         #: compiled into one generated function); warm-up sweeps always
-        #: use the legacy path — their results are discarded and the
-        #: step counter (the temporal-cache key) does not advance.
+        #: use the legacy path — their results are discarded.
         self._fuse = bool(fuse)
-        self._temporal = max(int(temporal_block), 1)
-        self._codegen = codegen
         self._warmup = bool(warmup)
 
     # ------------------------------------------------------------------
@@ -280,15 +273,7 @@ class BlockKernel:
         env = self.env
         if self._fuse and not self._warmup and env.mmat.enabled:
             plan = self._offsets_plan(offsets)
-            kern = fused_kernel_for(
-                env,
-                self.block,
-                plan,
-                fn,
-                temporal=self._temporal,
-                codegen=self._codegen,
-                trace=self._trace,
-            )
+            kern = fused_kernel_for(env, self.block, plan, fn, trace=self._trace)
             if kern is not None:
                 kern(env, fn, self._trace, self._work)
                 return
@@ -455,13 +440,6 @@ class DslTarget(TargetApplication):
         #: Whether sweeps may compile plan+fn into fused kernels
         #: (config ``fuse``, default on; only effective with MMAT).
         self.fuse_kernels: bool = bool(self.config.get("fuse", True))
-        #: Temporal blocking depth override (config ``temporal_block``);
-        #: None defers to the platform's ``temporal_block`` attribute.
-        tb = self.config.get("temporal_block")
-        self.temporal_block: Optional[int] = None if tb is None else max(int(tb), 1)
-        #: Codegen backend override for fused kernels (config
-        #: ``codegen``; None = registry default / env var).
-        self.kernel_codegen: Optional[str] = self.config.get("codegen")
 
     @property
     def vectorized(self) -> bool:
@@ -595,16 +573,10 @@ class DslTarget(TargetApplication):
     def kernel_for(self, block: DataBlock, warmup: bool = False) -> BlockKernel:
         """Return the kernel accessor for ``block`` (Listing 1's InitKernelMacros)."""
         assert self.env is not None, "initialize() must build the Env first"
-        temporal = self.temporal_block
-        if temporal is None:
-            platform = getattr(self, "platform", None)
-            temporal = getattr(platform, "temporal_block", 1) if platform else 1
         return BlockKernel(
             self.env,
             block,
             work_per_set=self.WORK_PER_UPDATE,
             fuse=self.fuse_kernels,
-            temporal_block=temporal,
-            codegen=self.kernel_codegen,
             warmup=warmup,
         )

@@ -1,144 +1,21 @@
-"""Codegen-backend registry for fused sweep kernels.
+"""Fused sweep kernels: an AccessPlan plus an elementwise ``fn`` in one function.
 
 The fusion pass (:mod:`repro.kernels.fused`) compiles an
 :class:`~repro.memory.mmat.AccessPlan` plus an elementwise kernel ``fn``
 into one generated function that gathers, applies and scatters without
-materialising the intermediate ``(n_offsets, n_elem)`` tensor.  *How*
-that function is produced is pluggable, mirroring the execution-backend
-registry (:mod:`repro.runtime.backends`)::
+materialising the intermediate ``(n_offsets, n_elem)`` tensor.  The
+function's source is emitted by :mod:`repro.kernels.numpy_src` —
+NumPy source specialised to the plan's shape and stencil, then
+``exec``-compiled — and its code object is cached per structural
+signature.
 
-    from repro.kernels import get_codegen, register_codegen
-
-    codegen = get_codegen("numpy_src")
-
-    class MyCodegen:
-        name = "cython"
-        def compile(self, signature): ...
-    register_codegen(MyCodegen())
-
-The two built-in codegens:
-
-=============  ========================================================
-``numpy_src``  emits NumPy source specialised to the plan's shape and
-               stencil and ``exec``-compiles it (the default; no
-               dependencies beyond NumPy)
-``numba``      same generated source, plus a ``numba.njit`` of the
-               elementwise ``fn`` with transparent fallback; only
-               available when numba is importable (import-guarded)
-=============  ========================================================
-
-A codegen's ``compile(signature)`` returns a namespace (dict) holding
-the generated functions ``fill_interior`` / ``fill_boundary`` /
-``compute`` / ``store`` / ``fused_sweep``; its constructor may raise
-:class:`CodegenError` when its dependencies are unavailable —
-:func:`resolve_codegen` then falls back to the default.
+:class:`CodegenError` is the "cannot fuse" signal (address plans,
+multi-component blocks, malformed offsets); :func:`fused_kernel_for`
+caches it as :data:`UNFUSABLE` and the sweep keeps the vectorized path.
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-from typing import Dict, List, Optional
+from .fused import CodegenError, FusedKernel, UNFUSABLE, fused_kernel_for
 
-__all__ = [
-    "CodegenError",
-    "DEFAULT_CODEGEN",
-    "FusedKernel",
-    "UNFUSABLE",
-    "available_codegens",
-    "fused_kernel_for",
-    "get_codegen",
-    "register_codegen",
-    "resolve_codegen",
-]
-
-
-class CodegenError(RuntimeError):
-    """A codegen backend is unavailable or cannot fuse the given plan."""
-
-
-#: Codegen used when none is named: generated-and-``exec``'d NumPy source.
-DEFAULT_CODEGEN = "numpy_src"
-
-#: Environment variable overriding the codegen choice for a whole process.
-CODEGEN_ENV_VAR = "REPRO_KERNEL_CODEGEN"
-
-#: Built-in codegens, resolved lazily: name -> (module, factory attribute).
-_BUILTIN = {
-    "numpy_src": ("repro.kernels.numpy_src", "NumpySourceCodegen"),
-    "numba": ("repro.kernels.numba_src", "NumbaCodegen"),
-}
-
-_REGISTRY: Dict[str, object] = {}
-
-#: Built-ins whose instantiation already failed (e.g. numba missing);
-#: cached so every fusion attempt does not retry the import.
-_FAILED: Dict[str, str] = {}
-
-
-def register_codegen(codegen, *, replace: bool = False):
-    """Register a codegen instance under its ``name``.
-
-    Re-registering a name raises unless ``replace=True`` (shadowing a
-    built-in is allowed that way, e.g. to instrument it in tests).
-    """
-    name = getattr(codegen, "name", None)
-    if not name or not isinstance(name, str):
-        raise CodegenError(f"codegen {codegen!r} has no usable 'name'")
-    if not replace and (name in _REGISTRY or name in _BUILTIN):
-        raise CodegenError(f"codegen {name!r} is already registered")
-    _REGISTRY[name] = codegen
-    _FAILED.pop(name, None)
-    return codegen
-
-
-def get_codegen(name: str):
-    """Resolve a codegen by name (instantiating built-ins on first use)."""
-    codegen = _REGISTRY.get(name)
-    if codegen is not None:
-        return codegen
-    failed = _FAILED.get(name)
-    if failed is not None:
-        raise CodegenError(failed)
-    builtin = _BUILTIN.get(name)
-    if builtin is None:
-        raise CodegenError(
-            f"unknown kernel codegen {name!r} "
-            f"(available: {', '.join(available_codegens())})"
-        )
-    module_name, attr = builtin
-    codegen_cls = getattr(importlib.import_module(module_name), attr)
-    try:
-        codegen = codegen_cls()
-    except CodegenError as exc:
-        _FAILED[name] = str(exc)
-        raise
-    _REGISTRY[name] = codegen
-    return codegen
-
-
-def available_codegens() -> List[str]:
-    """Sorted names of every registered (or registerable built-in) codegen."""
-    return sorted(set(_BUILTIN) | set(_REGISTRY))
-
-
-def resolve_codegen(name: Optional[str] = None):
-    """Resolve the preferred codegen, falling back to the default.
-
-    Preference order: explicit ``name`` argument, the
-    ``REPRO_KERNEL_CODEGEN`` environment variable, then
-    :data:`DEFAULT_CODEGEN`.  A named backend whose dependencies are
-    missing (``numba`` without numba installed) silently falls back to
-    the default — fusion degrades, it never breaks a run.
-    """
-    if name is None:
-        name = os.environ.get(CODEGEN_ENV_VAR) or DEFAULT_CODEGEN
-    try:
-        return get_codegen(name)
-    except CodegenError:
-        if name == DEFAULT_CODEGEN:
-            raise
-        return get_codegen(DEFAULT_CODEGEN)
-
-
-from .fused import FusedKernel, UNFUSABLE, fused_kernel_for  # noqa: E402
+__all__ = ["CodegenError", "FusedKernel", "UNFUSABLE", "fused_kernel_for"]

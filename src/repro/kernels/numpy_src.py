@@ -1,4 +1,4 @@
-"""Default codegen: specialised NumPy source, ``exec``-compiled.
+"""Fused-sweep code generator: specialised NumPy source, ``exec``-compiled.
 
 The emitted module performs one whole-block sweep as
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from ..memory.page import PageKey
 
-__all__ = ["NumpySourceCodegen"]
+__all__ = ["compile_sweep"]
 
 
 def _index(bounds) -> str:
@@ -117,30 +117,18 @@ def emit_source(signature: Tuple) -> str:
     return "\n".join(lines)
 
 
-class NumpySourceCodegen:
-    """Generated-NumPy-source codegen (the default backend)."""
-
-    name = "numpy_src"
-
-    def __init__(self) -> None:
-        #: Compiled code objects keyed by structural signature; every
-        #: block with the same shape/stencil/page layout shares one.
-        self._code: Dict[Tuple, object] = {}
-
-    def compile(self, signature: Tuple) -> dict:
-        """Return a fresh namespace holding the generated functions."""
-        code = self._code.get(signature)
-        if code is None:
-            source = emit_source(signature)
-            code = builtins_compile(source, signature)
-            self._code[signature] = code
-        namespace = {"np": np, "PageKey": PageKey}
-        exec(code, namespace)
-        return namespace
+#: Compiled code objects keyed by structural signature; every block with
+#: the same shape/stencil/page layout shares one.
+_CODE: Dict[Tuple, object] = {}
 
 
-def builtins_compile(source: str, signature: Tuple):
-    """Compile the emitted source with a descriptive pseudo-filename."""
-    shape = signature[0]
-    label = "x".join(str(int(s)) for s in shape)
-    return compile(source, f"<fused-kernel {label}>", "exec")
+def compile_sweep(signature: Tuple) -> dict:
+    """Return a fresh namespace holding the generated functions."""
+    code = _CODE.get(signature)
+    if code is None:
+        label = "x".join(str(int(s)) for s in signature[0])
+        code = compile(emit_source(signature), f"<fused-kernel {label}>", "exec")
+        _CODE[signature] = code
+    namespace = {"np": np, "PageKey": PageKey}
+    exec(code, namespace)
+    return namespace

@@ -592,7 +592,7 @@ class MMAT:
         self._plans: Dict[tuple, AccessPlan] = {}
         #: Fused kernels (plan + elementwise fn compiled into one
         #: generated function), keyed by ``(plan version, fn identity,
-        #: dtype, temporal depth)``; cleared together with the plans.
+        #: dtype)``; cleared together with the plans.
         self._fused: Dict[tuple, object] = {}
         self.hits = 0
         self.misses = 0

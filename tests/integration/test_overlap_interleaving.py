@@ -38,7 +38,7 @@ def _delay_for(seed: int, rank: int, peer: int, req_id: int) -> float:
 
 
 def _shim(rank: int, peer: int, reply: tuple) -> float:
-    # reply = ("brep"|"prep"|"perr", req_id, ...): delay keyed by req id,
+    # reply = ("brep"|"perr", req_id, ...): delay keyed by req id,
     # so consecutive requests from one peer complete out of order.
     return _delay_for(SEED, rank, peer, reply[1])
 

@@ -5,9 +5,8 @@ results to the vectorized access-plan path: the generated kernel applies
 the same elementwise ``fn`` to the same IEEE values in the same
 per-element order, only gathered through a padded scratch field instead
 of the ``(n_offsets, n_elem)`` tensor.  These tests check that promise
-for every DSL app, every execution backend and every temporal-blocking
-depth, including plan invalidation mid-run (``MMAT.reset()``) and the
-numba-absent codegen fallback.
+for every DSL app and every execution backend, including plan
+invalidation mid-run (``MMAT.reset()``).
 
 Apps whose sweeps cannot be fused (address plans — USGrid; multi-
 component buckets — Particle) must degrade transparently to the
@@ -22,7 +21,6 @@ import pytest
 from repro.annotation import Platform
 from repro.apps import JacobiSGrid, JacobiUSGrid, ParticleSimulation
 from repro.aspects import mpi_aspects
-from repro.kernels import resolve_codegen
 
 
 def _init(x, y):
@@ -42,13 +40,11 @@ APPS = [
 ]
 
 BACKENDS = [("serial", 1), ("threads", 2), ("process", 2)]
-TEMPORAL = [1, 2, 4]
 
 
-def run_app(app_cls, config, *, backend="serial", ranks=1, temporal=1, **platform_kw):
+def run_app(app_cls, config, *, backend="serial", ranks=1):
     aspects = mpi_aspects(ranks, backend=backend)
-    platform = Platform(aspects=aspects, mmat=True, temporal_block=temporal,
-                        **platform_kw)
+    platform = Platform(aspects=aspects, mmat=True)
     return platform.run(app_cls, config=dict(config))
 
 
@@ -65,16 +61,15 @@ def assert_bit_identical(run_a, run_b):
 
 
 class TestFusedEquivalence:
-    @pytest.mark.parametrize("temporal", TEMPORAL)
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
     @pytest.mark.parametrize("name,app_cls,config,fusable", APPS)
     def test_fused_bit_identical_to_vectorized(
-        self, name, app_cls, config, fusable, backend, ranks, temporal
+        self, name, app_cls, config, fusable, backend, ranks
     ):
         vec = run_app(app_cls, dict(config, fuse=False, kernel="vectorized"),
                       backend=backend, ranks=ranks)
         fused = run_app(app_cls, dict(config, kernel="vectorized"),
-                        backend=backend, ranks=ranks, temporal=temporal)
+                        backend=backend, ranks=ranks)
         assert_bit_identical(vec, fused)
         if fusable:
             assert fused_calls(fused) > 0
@@ -115,14 +110,13 @@ class MidRunResetJacobi(JacobiSGrid):
 
 
 class TestMidRunReset:
-    @pytest.mark.parametrize("temporal", TEMPORAL)
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
-    def test_reset_recompiles_and_stays_identical(self, backend, ranks, temporal):
+    def test_reset_recompiles_and_stays_identical(self, backend, ranks):
         config = dict(SGRID_CONFIG, loops=4, kernel="vectorized")
         vec = run_app(JacobiSGrid, dict(config, fuse=False),
                       backend=backend, ranks=ranks)
         fused = run_app(MidRunResetJacobi, config,
-                        backend=backend, ranks=ranks, temporal=temporal)
+                        backend=backend, ranks=ranks)
         assert_bit_identical(vec, fused)
         counters = fused.counters.values()
         assert sum(c.kernel_fused_calls for c in counters) > 0
@@ -130,25 +124,3 @@ class TestMidRunReset:
         n_blocks = (SGRID_CONFIG["region"] // SGRID_CONFIG["block_size"]) ** 2
         assert sum(c.kernel_fuse for c in counters) >= 2 * n_blocks / max(ranks, 1)
 
-
-class TestCodegenFallback:
-    def test_numba_absent_falls_back_to_numpy_src(self):
-        """codegen="numba" must degrade to the default generator when the
-        numba import is unavailable — same results, still fused."""
-        config = dict(SGRID_CONFIG, kernel="vectorized")
-        vec = run_app(JacobiSGrid, dict(config, fuse=False))
-        fused = run_app(JacobiSGrid, dict(config, codegen="numba"))
-        assert_bit_identical(vec, fused)
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            # Fallback took the numpy_src path and still fused everything.
-            assert resolve_codegen("numba").name == "numpy_src"
-        assert fused_calls(fused) > 0
-
-    def test_unknown_codegen_falls_back(self):
-        config = dict(SGRID_CONFIG, kernel="vectorized", codegen="no-such-codegen")
-        vec = run_app(JacobiSGrid, dict(SGRID_CONFIG, fuse=False, kernel="vectorized"))
-        fused = run_app(JacobiSGrid, config)
-        assert_bit_identical(vec, fused)
-        assert fused_calls(fused) > 0

@@ -19,16 +19,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.annotation import Platform
+import repro.kernels
+from repro.annotation import Platform, PlatformBuilder
 from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.apps.jacobi_sgrid import STENCIL
 from repro.aspects import mpi_aspects
-from repro.kernels import (
-    CodegenError,
-    get_codegen,
-    register_codegen,
-    resolve_codegen,
-)
 from repro.memory import (
     DataBlock,
     Env,
@@ -170,7 +165,7 @@ class TestExecuteScratchReuse:
 
 
 # ----------------------------------------------------------------------
-# fused-kernel cache, counters, knobs, registry
+# fused-kernel cache, counters, the one fused path
 # ----------------------------------------------------------------------
 class TestFusedCacheAndCounters:
     def test_fused_kernels_cached_and_reset_invalidates(self):
@@ -202,55 +197,13 @@ class TestFusedCacheAndCounters:
         assert sum(c.kernel_fused_calls for c in run.counters.values()) == 0
 
 
-class TestTemporalBlockKnob:
-    def test_platform_knob_validates(self):
-        with pytest.raises(ValueError):
-            Platform(temporal_block=0)
-        assert Platform(temporal_block=3).temporal_block == 3
-
-    def test_builder_and_preset_plumb_through(self):
-        assert Platform.preset("serial", temporal_block=2).temporal_block == 2
-        builder = Platform.builder().temporal_block(4)
-        assert builder.build().temporal_block == 4
-        with pytest.raises(ValueError):
-            Platform.builder().temporal_block(0)
-
-    def test_config_overrides_platform(self):
-        run = Platform(mmat=True, temporal_block=4).run(
-            JacobiSGrid,
-            config=dict(CONFIG, kernel="vectorized", temporal_block=1),
-        )
-        vec = Platform(mmat=True).run(
-            JacobiSGrid, config=dict(CONFIG, kernel="vectorized", fuse=False)
-        )
-        assert np.array_equal(np.asarray(run.result), np.asarray(vec.result))
-
-
-class TestCodegenRegistry:
-    def test_unknown_codegen_raises(self):
-        with pytest.raises(CodegenError, match="unknown kernel codegen"):
-            get_codegen("no-such-codegen")
-
-    def test_resolve_falls_back_to_default(self):
-        assert resolve_codegen("no-such-codegen").name == "numpy_src"
-        assert resolve_codegen().name == "numpy_src"
-
-    def test_register_rejects_duplicates(self):
-        class Fake:
-            name = "numpy_src"
-
-            def compile(self, signature):  # pragma: no cover
-                raise NotImplementedError
-
-        with pytest.raises(CodegenError, match="already registered"):
-            register_codegen(Fake())
-        # Shadowing is allowed explicitly; restore the built-in after.
-        original = get_codegen("numpy_src")
-        try:
-            assert register_codegen(Fake(), replace=True).name == "numpy_src"
-        finally:
-            register_codegen(original, replace=True)
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CODEGEN", "numpy_src")
-        assert resolve_codegen().name == "numpy_src"
+class TestOneFusedKernelPath:
+    def test_temporal_block_and_codegen_registry_are_gone(self):
+        with pytest.raises(TypeError):
+            Platform(temporal_block=2)
+        with pytest.raises(TypeError):
+            Platform.preset("serial", temporal_block=2)
+        assert not hasattr(PlatformBuilder, "temporal_block")
+        for name in ("register_codegen", "resolve_codegen"):
+            assert not hasattr(repro.kernels, name)
+            assert name not in repro.kernels.__all__
