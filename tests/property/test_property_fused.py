@@ -5,8 +5,13 @@ results to the vectorized access-plan path: the generated kernel applies
 the same elementwise ``fn`` to the same IEEE values in the same
 per-element order, only gathered through a padded scratch field instead
 of the ``(n_offsets, n_elem)`` tensor.  These tests check that promise
-for every DSL app and every execution backend, including plan
-invalidation mid-run (``MMAT.reset()``).
+for every DSL app, every execution backend and every halo refresh mode,
+including plan invalidation mid-run (``MMAT.reset()``).  The refresh
+mode picks the fused path: an overlapped exchange (``overlap=True``)
+is still in flight when the sweep starts, so the kernel takes its
+interior / halo-wait / rim path; a blocking aggregated exchange
+(``overlap=False``) and the per-page protocol (``comm_plans=False``)
+leave the halo valid up front, so the kernel takes its plain path.
 
 Apps whose sweeps cannot be fused (address plans — USGrid; multi-
 component buckets — Particle) must degrade transparently to the
@@ -41,15 +46,26 @@ APPS = [
 
 BACKENDS = [("serial", 1), ("threads", 2), ("process", 2)]
 
+#: Halo refresh modes of the distributed-memory layer.
+REFRESH = {
+    "overlap": dict(overlap=True),
+    "blocking": dict(overlap=False),
+    "per-page": dict(comm_plans=False),
+}
 
-def run_app(app_cls, config, *, backend="serial", ranks=1):
-    aspects = mpi_aspects(ranks, backend=backend)
+
+def run_app(app_cls, config, *, backend="serial", ranks=1, refresh="overlap"):
+    aspects = mpi_aspects(ranks, backend=backend, **REFRESH[refresh])
     platform = Platform(aspects=aspects, mmat=True)
     return platform.run(app_cls, config=dict(config))
 
 
 def fused_calls(run) -> int:
     return sum(c.kernel_fused_calls for c in run.counters.values())
+
+
+def overlapped_exchanges(run) -> int:
+    return sum(c.overlap_exchanges for c in run.counters.values())
 
 
 def assert_bit_identical(run_a, run_b):
@@ -61,16 +77,23 @@ def assert_bit_identical(run_a, run_b):
 
 
 class TestFusedEquivalence:
+    @pytest.mark.parametrize("refresh", REFRESH)
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
     @pytest.mark.parametrize("name,app_cls,config,fusable", APPS)
     def test_fused_bit_identical_to_vectorized(
-        self, name, app_cls, config, fusable, backend, ranks
+        self, name, app_cls, config, fusable, backend, ranks, refresh
     ):
         vec = run_app(app_cls, dict(config, fuse=False, kernel="vectorized"),
-                      backend=backend, ranks=ranks)
+                      backend=backend, ranks=ranks, refresh=refresh)
         fused = run_app(app_cls, dict(config, kernel="vectorized"),
-                        backend=backend, ranks=ranks)
+                        backend=backend, ranks=ranks, refresh=refresh)
         assert_bit_identical(vec, fused)
+        if refresh != "overlap" or ranks == 1:
+            # Nothing in flight at sweep time: only the plain path runs.
+            assert overlapped_exchanges(fused) == 0
+        elif fusable:
+            # The exchange is in flight: the interior / halo-wait / rim path.
+            assert overlapped_exchanges(fused) > 0
         if fusable:
             assert fused_calls(fused) > 0
         else:
@@ -110,13 +133,14 @@ class MidRunResetJacobi(JacobiSGrid):
 
 
 class TestMidRunReset:
+    @pytest.mark.parametrize("refresh", REFRESH)
     @pytest.mark.parametrize("backend,ranks", BACKENDS)
-    def test_reset_recompiles_and_stays_identical(self, backend, ranks):
+    def test_reset_recompiles_and_stays_identical(self, backend, ranks, refresh):
         config = dict(SGRID_CONFIG, loops=4, kernel="vectorized")
         vec = run_app(JacobiSGrid, dict(config, fuse=False),
-                      backend=backend, ranks=ranks)
+                      backend=backend, ranks=ranks, refresh=refresh)
         fused = run_app(MidRunResetJacobi, config,
-                        backend=backend, ranks=ranks)
+                        backend=backend, ranks=ranks, refresh=refresh)
         assert_bit_identical(vec, fused)
         counters = fused.counters.values()
         assert sum(c.kernel_fused_calls for c in counters) > 0

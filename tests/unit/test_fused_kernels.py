@@ -11,7 +11,11 @@ Covers the satellite fixes that ride with the plan-fusion tentpole:
 * ``AccessPlan.execute`` reuses a per-plan scratch array instead of
   allocating a fresh output every call;
 * fused kernels are cached on the MMAT, invalidated by ``reset()``,
-  and surfaced through stats, counters and the run summary.
+  and surfaced through stats, counters and the run summary;
+* unfusable plans are refused once and cached as ``UNFUSABLE``; the
+  plain and the overlapped fused sweep both reproduce the access-plan
+  gather exactly; scratch fields, store views and generated code are
+  shared where the kernel promises it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from repro.annotation import Platform, PlatformBuilder
 from repro.apps import JacobiSGrid, JacobiUSGrid
 from repro.apps.jacobi_sgrid import STENCIL
 from repro.aspects import mpi_aspects
+from repro.kernels import CodegenError, FusedKernel, UNFUSABLE, fused_kernel_for
+from repro.kernels.numpy_src import compile_sweep
 from repro.memory import (
     DataBlock,
     Env,
@@ -33,6 +39,8 @@ from repro.memory import (
     compile_offsets_plan,
 )
 from repro.memory.errors import AddressError
+from repro.obs.spans import global_tracer
+from repro.runtime.tracing import TaskCounters
 
 
 def _init(x, y):
@@ -42,15 +50,15 @@ def _init(x, y):
 CONFIG = dict(region=16, block_size=4, page_elements=8, loops=3, init=_init)
 
 
-def _plan_env():
+def _plan_env(components=1):
     pool = PoolGroup([MemoryPool(4 * 1024 * 1024, name="fused-pool")])
     env = Env(allocator=pool, name="fused-env", mmat_enabled=True)
-    block = DataBlock((0, 0), (4, 4), components=1, page_elements=4,
+    block = DataBlock((0, 0), (4, 4), components=components, page_elements=4,
                       allocator=pool)
     env.add_data_block(block)
-    values = np.arange(block.element_count, dtype=np.float64)
+    values = np.arange(block.element_count * components, dtype=np.float64)
     for buf in block.buffer.buffers:
-        buf.load_dense(values.reshape(-1, 1))
+        buf.load_dense(values.reshape(-1, components))
         buf.clear_dirty()
     return env, block
 
@@ -207,3 +215,132 @@ class TestOneFusedKernelPath:
         for name in ("register_codegen", "resolve_codegen"):
             assert not hasattr(repro.kernels, name)
             assert name not in repro.kernels.__all__
+
+
+# ----------------------------------------------------------------------
+# unfusable plans, the plain and overlapped fused sweeps, sharing
+# ----------------------------------------------------------------------
+def _weighted(*vals):
+    """Elementwise and order-sensitive: a swapped offset changes the sum."""
+    return sum((i + 1) * 0.1 * v for i, v in enumerate(vals))
+
+
+def _fused_kernels(ranks=1):
+    """Rank 0's fused kernels after a finished Jacobi run."""
+    aspects = mpi_aspects(ranks, backend="threads") if ranks > 1 else []
+    run = Platform(aspects=aspects, mmat=True).run(
+        JacobiSGrid, config=dict(CONFIG, kernel="vectorized")
+    )
+    env = run.app.env
+    kerns = [k for k in env.mmat._fused.values() if k is not UNFUSABLE]
+    assert kerns
+    return env, kerns
+
+
+def _plan_reference(env, kern, fn):
+    """``fn`` applied to the access plan's own per-offset gather."""
+    g = kern.plan.execute(env)
+    n = kern.n_elem
+    return fn(*[g[i * n:(i + 1) * n, 0] for i in range(len(kern.plan.offsets))])
+
+
+def _written(kern) -> np.ndarray:
+    return kern.block.buffer.write_buffer.dense()[:, 0].copy()
+
+
+class TestUnfusablePlans:
+    def test_address_plan_refused_and_cached(self):
+        env, block = _plan_env()
+        addresses = np.arange(block.element_count, dtype=np.int64)
+        addresses = np.stack([addresses % 4, addresses // 4], axis=1)
+        plan = compile_address_plan(env, block, addresses)
+        with pytest.raises(CodegenError, match="offsets plans"):
+            FusedKernel(block, plan)
+        trace = TaskCounters()
+        assert fused_kernel_for(env, block, plan, _weighted, trace=trace) is None
+        key = (plan.version, _weighted.__code__, str(plan.dtype))
+        assert env.mmat.fused_lookup(key) is UNFUSABLE
+        # The cached refusal answers the next sweep without a new attempt.
+        assert fused_kernel_for(env, block, plan, _weighted, trace=trace) is None
+        assert trace.kernel_fuse == 0
+
+    def test_multi_component_plan_refused(self):
+        env, block = _plan_env(components=2)
+        plan = compile_offsets_plan(env, block, ((0, 0),))
+        with pytest.raises(CodegenError, match="single-component"):
+            FusedKernel(block, plan)
+        assert fused_kernel_for(env, block, plan, _weighted) is None
+
+
+class TestFusedKernelCacheKey:
+    def test_one_kernel_per_plan_and_fn(self):
+        env, block = _plan_env()
+        plan = compile_offsets_plan(env, block, ((0, 0),))
+        trace = TaskCounters()
+        first = fused_kernel_for(env, block, plan, _weighted, trace=trace)
+        assert isinstance(first, FusedKernel)
+        assert fused_kernel_for(env, block, plan, _weighted, trace=trace) is first
+        assert trace.kernel_fuse == 1
+        other = fused_kernel_for(env, block, plan, lambda v: 2.0 * v, trace=trace)
+        assert other is not first
+        assert trace.kernel_fuse == 2
+
+    def test_recompiled_plan_gets_a_fresh_kernel(self):
+        env, block = _plan_env()
+        plan = compile_offsets_plan(env, block, ((0, 0),))
+        stale = fused_kernel_for(env, block, plan, _weighted)
+        env.mmat.reset()
+        fresh_plan = compile_offsets_plan(env, block, ((0, 0),))
+        assert fresh_plan.version != plan.version
+        fresh = fused_kernel_for(env, block, fresh_plan, _weighted)
+        assert fresh is not stale
+        assert fresh.plan is fresh_plan
+
+
+class TestFusedSweepPaths:
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_plain_sweep_matches_plan_gather(self, ranks):
+        env, kerns = _fused_kernels(ranks)
+        for kern in kerns:
+            ref = _plan_reference(env, kern, _weighted)
+            assert kern._fused_sweep(kern, env, _weighted) == 0
+            assert np.array_equal(_written(kern), ref)
+
+    def test_overlapped_sweep_matches_plan_gather(self):
+        env, kerns = _fused_kernels(ranks=2)
+        rims = 0
+        for kern in kerns:
+            ref = _plan_reference(env, kern, _weighted)
+            assert kern._overlap_step(env, _weighted, global_tracer()) == 0
+            assert np.array_equal(_written(kern), ref)
+            rims += int(kern._boundary_indices()[0].size)
+        # Some blocks border the other rank: their rim is recomputed.
+        assert rims > 0
+
+
+class TestFusedKernelSharing:
+    def test_scratch_field_pooled_with_constants_kept(self):
+        _env, kerns = _fused_kernels()
+        kern = next(k for k in kerns if k.const_pos is not None)
+        field = kern.alloc()
+        assert np.array_equal(field.reshape(-1)[kern.const_pos], kern.const_vals)
+        kern.release(field)
+        assert kern.alloc() is field
+
+    def test_store_views_merge_adjacent_pages_and_are_cached(self):
+        env, kerns = _fused_kernels()
+        kern = kerns[0]
+        views, pages = kern.store_plan(env)
+        assert len(pages) == kern.block.buffer.write_buffer.page_count > 1
+        assert len(views) < len(pages)  # back-to-back pages, one view
+        assert sum(v.shape[0] for v in views) == kern.n_elem
+        again, _ = kern.store_plan(env)
+        assert again is views
+
+    def test_generated_code_shared_per_signature(self):
+        _env, kerns = _fused_kernels()
+        assert len({k._fused_sweep.__code__ for k in kerns}) == 1
+        a = compile_sweep(kerns[0]._signature())
+        b = compile_sweep(kerns[0]._signature())
+        assert a is not b  # fresh namespace ...
+        assert a["fused_sweep"].__code__ is b["fused_sweep"].__code__  # ... one code
